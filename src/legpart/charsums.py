@@ -197,14 +197,39 @@ def lambda_k(ctx: PrimeContext, k: int, variant: str = "plain",
 _SUM_CACHE: dict = {}
 
 
-def _build_sum(ctx, kind: str, k: int, phases, params, order_cap) -> KloostermanSum:
-    total = cyclo_from_phases(phases, order_cap=order_cap)
-    return KloostermanSum(total, kind, params)
+def _chi_class(ctx: PrimeContext, sign: int) -> tuple:
+    """Residues a mod p with chi(a) = sign."""
+    return tuple(a for a in range(1, ctx.p) if ctx.chi[a] == sign)
+
+
+def _twisted_sum(ctx: PrimeContext, variant: str, k: int, n: int, m: int,
+                 residues: tuple | None) -> CyclotomicSum:
+    """Sum over the units h mod k with h mod p in residues (every unit when
+    residues is None) of exp(i pi (lambda(h,k) - 2(n h + m inv)/k)).
+
+    inv is h^{-1} mod k for even k and (2h)^{-1} mod k for odd k.  It is not
+    formed when m = 0 (mod k), which also covers the k=1 spoke h=0.
+    """
+    n, m = n % k, m % k
+    key = (ctx.p, variant, k, n, m, residues)
+    cached = _SUM_CACHE.get(key)
+    if cached is None:
+        phases = []
+        for h in _units(k):
+            if residues is not None and h % ctx.p not in residues:
+                continue
+            twist = n * h
+            if m:
+                twist += m * pow(h if k % 2 == 0 else 2 * h, -1, k)
+            phases.append(lambda_exponent(ctx, h, k, variant).value
+                          - Fraction(2 * (twist % k), k))
+        cached = cyclo_from_phases(phases)
+        _SUM_CACHE[key] = cached
+    return cached
 
 
 def kloosterman_L(ctx: PrimeContext, k: int, n: int,
-                  variant: str = "plain",
-                  order_cap: int | None = None) -> KloostermanSum:
+                  variant: str = "plain") -> KloostermanSum:
     """Complete sum over invertible h mod k of the phase multiplier times
     exp(-2 pi i n h / k), as an exact cyclotomic integer.  Needs p coprime
     to k; the h=0 term makes the k=1 sum exactly 1."""
@@ -214,14 +239,8 @@ def kloosterman_L(ctx: PrimeContext, k: int, n: int,
     if k % ctx.p == 0:
         raise ValueError("k must be coprime to the context prime")
     kind = "L" if variant == "plain" else "L_dagger"
-    key = (ctx.p, kind, k, n % k, order_cap)
-    cached = _SUM_CACHE.get(key)
-    if cached is None:
-        phases = [lambda_exponent(ctx, h, k, variant).value - Fraction(2 * n * h, k)
-                  for h in _units(k)]
-        cached = cyclo_from_phases(phases, order_cap=order_cap)
-        _SUM_CACHE[key] = cached
-    return KloostermanSum(cached, kind, (("k", k), ("n", n)))
+    return KloostermanSum(_twisted_sum(ctx, variant, k, n, 0, None),
+                          kind, (("k", k), ("n", n)))
 
 
 def _require_odd_multiple(ctx: PrimeContext, K: int) -> None:
@@ -229,29 +248,17 @@ def _require_odd_multiple(ctx: PrimeContext, K: int) -> None:
         raise ValueError(f"K must be an odd positive multiple of {ctx.p}")
 
 
-def kloosterman_L_plus(ctx: PrimeContext, K: int, n: int, m: int,
-                       order_cap: int | None = None) -> KloostermanSum:
+def kloosterman_L_plus(ctx: PrimeContext, K: int, n: int,
+                       m: int) -> KloostermanSum:
     """Restriction of the complete sum to h in the quadratic class, with the
     extra inverse twist exp(-2 pi i m (2h)^{-1} / K).  K odd, p | K."""
     _require_odd_multiple(ctx, K)
-    key = (ctx.p, "L_plus", K, n % K, m % K, order_cap)
-    cached = _SUM_CACHE.get(key)
-    if cached is None:
-        phases = []
-        for h in _units(K):
-            if ctx.chi[h % ctx.p] != 1:
-                continue
-            twist = (n * h + m * pow(2 * h, -1, K)) % K
-            phases.append(lambda_exponent(ctx, h, K, "plain").value
-                          - Fraction(2 * twist, K))
-        cached = cyclo_from_phases(phases, order_cap=order_cap)
-        _SUM_CACHE[key] = cached
-    return KloostermanSum(cached, "L_plus", (("K", K), ("n", n), ("m", m)))
+    total = _twisted_sum(ctx, "plain", K, n, m, _chi_class(ctx, 1))
+    return KloostermanSum(total, "L_plus", (("K", K), ("n", n), ("m", m)))
 
 
 def kloosterman_L_nmd(ctx: PrimeContext, k: int, n: int, m: int, d: int,
-                      variant: str = "plain",
-                      order_cap: int | None = None) -> KloostermanSum:
+                      variant: str = "plain") -> KloostermanSum:
     """Class sum over h = d (mod p): the inverse twist is m h^{-1} when
     2p | k and m (2h)^{-1} when k is an odd multiple of p."""
     _check_variant(variant)
@@ -259,28 +266,13 @@ def kloosterman_L_nmd(ctx: PrimeContext, k: int, n: int, m: int, d: int,
         raise ValueError("k must be a positive multiple of the context prime")
     if math.gcd(d, ctx.p) != 1:
         raise ValueError("d must be invertible mod p")
-    key = (ctx.p, "L_nmd", variant, k, n % k, m % k, d % ctx.p, order_cap)
-    cached = _SUM_CACHE.get(key)
-    if cached is None:
-        phases = []
-        for h in _units(k):
-            if h % ctx.p != d % ctx.p:
-                continue
-            if k % 2 == 0:
-                inv = pow(h, -1, k)
-            else:
-                inv = pow(2 * h, -1, k)
-            twist = (n * h + m * inv) % k
-            phases.append(lambda_exponent(ctx, h, k, variant).value
-                          - Fraction(2 * twist, k))
-        cached = cyclo_from_phases(phases, order_cap=order_cap)
-        _SUM_CACHE[key] = cached
-    return KloostermanSum(cached, "L_nmd",
+    total = _twisted_sum(ctx, variant, k, n, m, (d % ctx.p,))
+    return KloostermanSum(total, "L_nmd",
                           (("k", k), ("n", n), ("m", m), ("d", d)))
 
 
-def kloosterman_dagger(ctx: PrimeContext, k: int, n: int, m: int | None = None,
-                       order_cap: int | None = None) -> KloostermanSum:
+def kloosterman_dagger(ctx: PrimeContext, k: int, n: int,
+                       m: int | None = None) -> KloostermanSum:
     """Dagger-phase sums, two entry points distinguished by k.
 
     p coprime to k: the complete dagger sum (m must be omitted).
@@ -292,23 +284,12 @@ def kloosterman_dagger(ctx: PrimeContext, k: int, n: int, m: int | None = None,
     if k % ctx.p != 0:
         if m is not None:
             raise ValueError("m only applies when p divides k")
-        return kloosterman_L(ctx, k, n, variant="dagger", order_cap=order_cap)
+        return kloosterman_L(ctx, k, n, variant="dagger")
     if m is None:
         raise ValueError("m is required when p divides k")
     _require_odd_multiple(ctx, k)
-    key = (ctx.p, "L_dagger_minus", k, n % k, m % k, order_cap)
-    cached = _SUM_CACHE.get(key)
-    if cached is None:
-        phases = []
-        for h in _units(k):
-            if ctx.chi[h % ctx.p] != -1:
-                continue
-            twist = (n * h + m * pow(2 * h, -1, k)) % k
-            phases.append(lambda_exponent(ctx, h, k, "dagger").value
-                          - Fraction(2 * twist, k))
-        cached = cyclo_from_phases(phases, order_cap=order_cap)
-        _SUM_CACHE[key] = cached
-    return KloostermanSum(cached, "L_dagger_minus",
+    total = _twisted_sum(ctx, "dagger", k, n, m, _chi_class(ctx, -1))
+    return KloostermanSum(total, "L_dagger_minus",
                           (("K", k), ("n", n), ("m", m)))
 
 

@@ -26,7 +26,7 @@ from .charsums import (check_congruence_mod16, check_congruence_modThK,
                        kloosterman_L, kloosterman_L_nmd, kloosterman_L_plus,
                        kloosterman_dagger, lambda_exponent, phi_root,
                        verify_tau_table)
-from .context import make_context
+from .context import _is_prime, make_context
 from .dedekind import (dedekind_s, dedekind_s_chi, dedekind_s_tilde,
                        dedekind_t_chi, lattice_floor_sum,
                        verify_reciprocity_classical, verify_reciprocity_chi)
@@ -431,7 +431,7 @@ def cmd_scan(args) -> int:
     sign = 1 if args.sign == "+" else -1
     rows = []
     for p in range(args.p_min, args.p_max + 1):
-        if p % 4 != 1 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if p % 4 != 1 or not _is_prime(p):
             continue
         ctx = make_context(p)
         found = scan_vanishing(ctx, sign, 2 * p, max(2 * p, 50), args.n_max)

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .arith import HPReal, default_precision
+from .arith import HPReal, _prime_factors, default_precision
 
 __all__ = [
     "PrimeContext",
@@ -27,7 +27,6 @@ __all__ = [
     "b2_chi",
     "b1_chi",
     "scaled_bernoulli2",
-    "frac_mod",
     "norm_mod",
     "q_constants",
 ]
@@ -62,28 +61,12 @@ class QConstants:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
+    # _prime_factors(n) is empty for n < 2
+    return _prime_factors(n) == ((n, 1),)
 
 
 def _least_primitive_root(p: int) -> int:
-    fac = []
-    m = p - 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            fac.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        fac.append(m)
+    fac = [f for f, _ in _prime_factors(p - 1)]
     for g in range(2, p):
         if all(pow(g, (p - 1) // f, p) != 1 for f in fac):
             return g
@@ -203,11 +186,6 @@ def scaled_bernoulli2(ctx: PrimeContext, a: int) -> int:
     """6 {a}_p^2 - 6 p {a}_p + p^2, i.e. 6 p^2 B_2({a}_p / p)."""
     m = a % ctx.p
     return 6 * m * m - 6 * ctx.p * m + ctx.p * ctx.p
-
-
-def frac_mod(a: int, k: int) -> int:
-    """Least nonnegative residue {a}_k."""
-    return a % k
 
 
 def norm_mod(a: int, k: int) -> int:

@@ -46,16 +46,10 @@ class SignedPartitionTable:
 
 @dataclass(frozen=True)
 class SeriesEvalConfig:
-    """Truncation and precision knobs for the series evaluator.
-
-    parallel is accepted for forward compatibility but evaluation runs
-    sequentially: the arbitrary-precision context is process-global state,
-    so farming terms out to threads would race on the working precision.
-    """
+    """Truncation and precision knobs for the series evaluator."""
 
     k_max: int
     precision: int
-    parallel: bool = False
 
     def __post_init__(self):
         if not isinstance(self.k_max, int) or self.k_max < 1:
@@ -187,23 +181,28 @@ def _carried_prec(*xs) -> int:
     return max(precs) if precs else default_precision()
 
 
-def _poch_partial(z, q, truncation: int):
-    """Partial product prod_{j<N} (1 - z q^j) and a relative tail bound.
+def _poch_tail_bound(z, q, truncation: int):
+    """Relative tail bound of the (z;q)-product cut to N = truncation factors.
 
     The discarded factors multiply the full product by exp(E) with
-    |E| <= sum_{j>=N} |z||q|^j / (1 - |z q^N|); the bound returned here is
-    that sum, or inf when it is not finite.
+    |E| <= sum_{j>=N} |z||q|^j / (1 - |z q^N|); the bound is that sum, or
+    inf when it is not finite.
     """
+    za, qa = abs(mp.mpc(z)), abs(mp.mpc(q))
+    head = za * qa ** truncation
+    if qa >= 1 or head >= 1:
+        return mp.inf
+    return head / ((1 - qa) * (1 - head))
+
+
+def _poch_partial(z, q, truncation: int):
+    """Partial product prod_{j<N} (1 - z q^j) and its _poch_tail_bound."""
     val = mp.mpc(1)
     zq = mp.mpc(z)
     for _ in range(truncation):
         val *= (1 - zq)
         zq *= q
-    za, qa = abs(mp.mpc(z)), abs(mp.mpc(q))
-    head = za * qa ** truncation
-    if qa >= 1 or head >= 1:
-        return val, mp.inf
-    return val, head / ((1 - qa) * (1 - head))
+    return val, _poch_tail_bound(z, q, truncation)
 
 
 def q_pochhammer(z, q, truncation: int) -> HPComplex:
@@ -230,12 +229,7 @@ def q_pochhammer_tail(z, q, truncation: int) -> HPReal:
         zz, qq = _as_mpc(z), _as_mpc(q)
         if abs(qq) >= 1:
             raise ValueError("q must satisfy |q| < 1")
-        za, qa = abs(zz), abs(qq)
-        head = za * qa ** truncation
-        if head >= 1:
-            bound = mp.inf
-        else:
-            bound = head / ((1 - qa) * (1 - head))
+        bound = _poch_tail_bound(zz, qq, truncation)
     with mp.workprec(prec):
         return HPReal(+bound, prec)
 

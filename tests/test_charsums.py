@@ -7,7 +7,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from legpart.arith import cyclo_add, cyclo_is_zero, cyclo_neg, cyclo_to_complex
+from legpart.arith import (cyclo_add, cyclo_from_phases, cyclo_is_zero,
+                           cyclo_neg, cyclo_to_complex)
 from legpart.charsums import (
     check_congruence_mod16,
     check_congruence_modThK,
@@ -219,6 +220,54 @@ def test_kloosterman_dagger_vanishing_classes():
             if n % 17 in (11, 12, 15, 16):
                 assert kloosterman_dagger(C17, K, n, m=0).is_zero(), (K, n)
                 assert kloosterman_dagger(C17, K, n, m=2).is_zero(), (K, n)
+
+
+def _literal_twisted_sum(ctx, k, n, m, variant, keep):
+    """The docstring definition, kept as the oracle for the shared builder:
+    every unit h mod k (h=0 when k=1) with keep(h mod p), the exact phase,
+    and the twist n h + m inv, inv = h^{-1} for even k, (2h)^{-1} for odd k."""
+    phases = []
+    for h in range(k):
+        if math.gcd(h, k) != 1 or not keep(h % ctx.p):
+            continue
+        inv = pow(h if k % 2 == 0 else 2 * h, -1, k)
+        phases.append(lambda_exponent(ctx, h, k, variant).value
+                      - Fraction(2 * (n * h + m * inv), k))
+    return cyclo_from_phases(phases)
+
+
+def test_twisted_sums_match_literal_definition():
+    for ctx in (C5, C17):
+        p = ctx.p
+        every = lambda r: True
+        quadratic = lambda r: ctx.chi[r] == 1
+        nonquadratic = lambda r: ctx.chi[r] == -1
+        cases = []
+        for k in (1, 2, 3, 4, 6, 9, 12):
+            for n in (0, 1, 7, -2):
+                for variant in ("plain", "dagger"):
+                    cases.append((kloosterman_L(ctx, k, n, variant),
+                                  (k, n, 0, variant, every)))
+                cases.append((kloosterman_dagger(ctx, k, n),
+                              (k, n, 0, "dagger", every)))
+        for K in (p, 3 * p):
+            for n in (0, 1, 7):
+                for m in (0, 1, -3, K):
+                    cases.append((kloosterman_L_plus(ctx, K, n, m),
+                                  (K, n, m, "plain", quadratic)))
+                    cases.append((kloosterman_dagger(ctx, K, n, m=m),
+                                  (K, n, m, "dagger", nonquadratic)))
+        for k in (p, 2 * p, 3 * p):
+            for n in (0, 1, 7):
+                for m in (0, 1, -3, k):
+                    for d in (1, 2, p - 1):
+                        for variant in ("plain", "dagger"):
+                            cases.append((
+                                kloosterman_L_nmd(ctx, k, n, m, d, variant),
+                                (k, n, m, variant, lambda r, d=d: r == d)))
+        for got, (k, n, m, variant, keep) in cases:
+            want = _literal_twisted_sum(ctx, k, n, m, variant, keep)
+            assert got.sum == want, (p, got.kind, got.params, variant)
 
 
 def test_tau_count_examples():

@@ -128,6 +128,18 @@ def test_scan_skips_non_congruent_primes(capsys):
     assert ps == ["13"]
 
 
+def test_scan_range_below_two(capsys):
+    # 1 and the negative numbers are not prime, even where they are 1 mod 4
+    def scan(p_min):
+        return run_main(["scan", "--p-min", p_min, "--p-max", "5",
+                         "--sign", "+", "--n-max", "200"], capsys)
+
+    rc, want = scan("5")
+    assert rc == 0
+    for p_min in ("1", "-3"):
+        assert scan(p_min) == (0, want), p_min
+
+
 def test_verify_quick_report(tmp_path, capsys):
     report = tmp_path / "report.json"
     rc, out = run_main(["verify", "--suite", "tau", "--scale", "quick",

@@ -8,7 +8,6 @@ import pytest
 from legpart.context import (
     b1_chi,
     b2_chi,
-    frac_mod,
     legendre,
     make_context,
     norm_mod,
@@ -110,7 +109,6 @@ def test_b2_congruences_all_small_primes():
 
 
 def test_frac_and_norm_mod():
-    assert frac_mod(-3, 5) == 2
     assert norm_mod(7, 10) == 3
     assert norm_mod(5, 10) == 5
     assert norm_mod(0, 9) == 0

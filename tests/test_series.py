@@ -352,5 +352,3 @@ def test_series_config_validation():
         SeriesEvalConfig(k_max=0, precision=128)
     with pytest.raises(ValueError):
         SeriesEvalConfig(k_max=10, precision=4)
-    cfg = SeriesEvalConfig(k_max=10, precision=64, parallel=True)
-    assert cfg.parallel is True
