@@ -40,9 +40,9 @@ __all__ = [
     "reduce_mod_cyclotomic",
 ]
 
-# Largest root-of-unity order handled symbolically unless a caller raises the
-# cap.  2 * lcm(16, 3, 2040) covers the phase denominators that show up in the
-# default verification grids.
+# Largest root-of-unity order handled symbolically; it bounds the length of
+# a CyclotomicSum's coefficient array.  2 * lcm(16, 3, 2040) covers the phase
+# denominators that show up in the default verification grids.
 DEFAULT_ORDER_CAP = 2 * math.lcm(16, 3, 2040)
 
 
@@ -146,7 +146,7 @@ def bessel_i1(x, prec: int | None = None) -> HPReal:
 # ---------------------------------------------------------------------------
 
 class OrderCapError(ValueError):
-    """A requested cyclotomic order exceeded the configured cap."""
+    """A requested cyclotomic order exceeded DEFAULT_ORDER_CAP."""
 
 
 @dataclass(frozen=True)
@@ -194,12 +194,18 @@ def _phase_to_exponent(phase: Fraction, order: int) -> int:
     return ph.numerator * (order // (2 * ph.denominator))
 
 
-def cyclo_from_phases(phases, weights=None, order_cap: int | None = None) -> CyclotomicSum:
+def _capped(order: int) -> int:
+    if order > DEFAULT_ORDER_CAP:
+        raise OrderCapError(f"cyclotomic order {order} exceeds cap "
+                            f"{DEFAULT_ORDER_CAP}")
+    return order
+
+
+def cyclo_from_phases(phases, weights=None) -> CyclotomicSum:
     """Exact sum of weights[i] * exp(i pi phases[i]); phases in half turns.
 
     The order is twice the lcm of the phase denominators (always even).
-    Raises OrderCapError if that exceeds the cap (DEFAULT_ORDER_CAP unless
-    overridden), so callers can fall back to numeric evaluation.
+    Raises OrderCapError if that exceeds DEFAULT_ORDER_CAP.
     """
     phases = [Fraction(ph) % 2 for ph in phases]
     if weights is None:
@@ -207,37 +213,27 @@ def cyclo_from_phases(phases, weights=None, order_cap: int | None = None) -> Cyc
     weights = list(weights)
     if len(weights) != len(phases):
         raise ValueError("phases and weights must have equal length")
-    cap = DEFAULT_ORDER_CAP if order_cap is None else order_cap
     den = 1
     for ph in phases:
         den = math.lcm(den, ph.denominator)
-    order = 2 * den
-    if order > cap:
-        raise OrderCapError(f"cyclotomic order {order} exceeds cap {cap}")
+    order = _capped(2 * den)
     return _canonical(order, ((_phase_to_exponent(ph, order), w)
                               for ph, w in zip(phases, weights)))
 
 
-def cyclo_add_phase(s: CyclotomicSum, phase, weight: int = 1,
-                    order_cap: int | None = None) -> CyclotomicSum:
+def cyclo_add_phase(s: CyclotomicSum, phase,
+                    weight: int = 1) -> CyclotomicSum:
     """s + weight * exp(i pi phase), rescaling the order to the lcm if needed."""
     ph = Fraction(phase) % 2
-    cap = DEFAULT_ORDER_CAP if order_cap is None else order_cap
-    order = math.lcm(s.order, 2 * ph.denominator)
-    if order > cap:
-        raise OrderCapError(f"cyclotomic order {order} exceeds cap {cap}")
+    order = _capped(math.lcm(s.order, 2 * ph.denominator))
     scale = order // s.order
     pairs = [(j * scale, c) for j, c in enumerate(s.coeffs) if c]
     pairs.append((_phase_to_exponent(ph, order), weight))
     return _canonical(order, pairs)
 
 
-def cyclo_add(a: CyclotomicSum, b: CyclotomicSum,
-              order_cap: int | None = None) -> CyclotomicSum:
-    cap = DEFAULT_ORDER_CAP if order_cap is None else order_cap
-    order = math.lcm(a.order, b.order)
-    if order > cap:
-        raise OrderCapError(f"cyclotomic order {order} exceeds cap {cap}")
+def cyclo_add(a: CyclotomicSum, b: CyclotomicSum) -> CyclotomicSum:
+    order = _capped(math.lcm(a.order, b.order))
     sa, sb = order // a.order, order // b.order
     pairs = [(j * sa, c) for j, c in enumerate(a.coeffs) if c]
     pairs += [(j * sb, c) for j, c in enumerate(b.coeffs) if c]

@@ -24,7 +24,6 @@ __all__ = [
     "legendre",
     "power_class",
     "quartic_class",
-    "b2_chi",
     "b1_chi",
     "scaled_bernoulli2",
     "norm_mod",
@@ -39,7 +38,7 @@ class PrimeContext:
     chi: tuple             # chi[a] = Legendre symbol (a|p) for 0 <= a < p
     r_set: tuple           # quadratic residues in 1..q
     s_set: tuple           # nonresidues in 1..q
-    b2: Fraction           # (1/p) sum_{a=1}^{p-1} a^2 chi[a]
+    b2: Fraction           # (1/p) sum_{a=1}^{p-1} a^2 chi[a], twisted B2
     g: int                 # least primitive root mod p
     i_unit: int            # g^((p-1)/4) mod p; a square root of -1
     epsilon: int           # sign bit in ((p-1)/2)! = (-1)^epsilon i_unit (mod p)
@@ -161,11 +160,6 @@ def quartic_class(ctx: PrimeContext, a: int) -> str:
     if j == 2:
         return "quadratic-nonquartic"
     return "nonquadratic"
-
-
-def b2_chi(ctx: PrimeContext) -> Fraction:
-    """The twisted second Bernoulli constant (1/p) sum a^2 chi[a]."""
-    return ctx.b2
 
 
 def b1_chi(ctx: PrimeContext, y) -> Fraction:

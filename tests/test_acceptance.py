@@ -13,10 +13,10 @@ from fractions import Fraction
 
 from mpmath import mp
 
-import legpart.cli as cli
+import legpart.verify as verify
 from legpart.charsums import (kloosterman_L, kloosterman_L_plus,
                               kloosterman_dagger)
-from legpart.context import b2_chi, make_context, q_constants
+from legpart.context import make_context, q_constants
 from legpart.series import (SeriesEvalConfig, oracle_table, rademacher_eval,
                             scan_vanishing, sigma_coeffs)
 
@@ -169,8 +169,8 @@ def test_criterion_08_q_closed_forms():
 
 
 def test_criterion_09_property_suites():
-    checks = (cli.suite_dedekind("full") + cli.suite_charsums("full")
-              + cli.suite_tau("full"))
+    checks = (verify.suite_dedekind("full") + verify.suite_charsums("full")
+              + verify.suite_tau("full"))
     bad = [c for c in checks if c["status"] != "pass"]
     assert not bad, bad
     total = sum(int(c["witness"].split(" ")[0]) for c in checks
@@ -180,7 +180,7 @@ def test_criterion_09_property_suites():
     p, swept = 5, 0
     while p <= 1000:
         if p % 4 == 1 and all(p % d for d in range(2, int(p ** 0.5) + 1)):
-            b2 = b2_chi(make_context(p))
+            b2 = make_context(p).b2
             if p == 5:
                 assert b2 == Fraction(4, 5)
             else:
@@ -196,7 +196,7 @@ def test_criterion_09_property_suites():
 
 
 def test_criterion_10_feq_residuals():
-    checks = cli.suite_feq("full")
+    checks = verify.suite_feq("full")
     assert len(checks) == 24  # 12 parameter sets x both variants
     cases = {c["id"].split(".")[1] for c in checks}
     assert cases == {"case2p", "casep", "case2", "case1"}

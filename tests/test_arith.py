@@ -91,8 +91,7 @@ def test_cyclo_neg_and_add():
 def test_order_cap_enforced():
     with pytest.raises(OrderCapError):
         cyclo_from_phases([Fraction(1, DEFAULT_ORDER_CAP)])
-    # a generous explicit cap admits the same phase
-    s = cyclo_from_phases([Fraction(1, 97)], order_cap=10 ** 6)
+    s = cyclo_from_phases([Fraction(1, 97)])
     assert s.order == 2 * 97
 
 
@@ -126,7 +125,7 @@ def test_zero_test_matches_polynomial_reduction():
             for t in range(d):
                 phases.append(start + Fraction(2 * t, d))
                 weights.append(w)
-        s = cyclo_from_phases(phases, weights, order_cap=3 * 2040)
+        s = cyclo_from_phases(phases, weights)
         exact = cyclo_is_zero(s)
         rem = reduce_mod_cyclotomic(s)
         assert exact == (not any(rem))

@@ -140,6 +140,22 @@ def test_scan_range_below_two(capsys):
         assert scan(p_min) == (0, want), p_min
 
 
+def test_scan_n_max_below_start(capsys):
+    # the scan of p starts at max(2p, 50): the check names --n-max and the
+    # largest start in the range before any prime is scanned
+    for p_max, need, p in ((13, 50, 13), (41, 82, 41)):
+        rc = main(["scan", "--p-min", "5", "--p-max", str(p_max),
+                   "--sign", "+", "--n-max", "40"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: --n-max must be at least {need} to scan p = {p}\n"
+    # a range with no prime in it scans nothing and needs no minimum
+    rc, out = run_main(["scan", "--p-min", "6", "--p-max", "12",
+                        "--sign", "+", "--n-max", "10"], capsys)
+    assert (rc, out) == (0, "p,vanishing_residues_mod_2p\n")
+
+
 def test_verify_quick_report(tmp_path, capsys):
     report = tmp_path / "report.json"
     rc, out = run_main(["verify", "--suite", "tau", "--scale", "quick",
@@ -198,5 +214,12 @@ def test_usage_errors(capsys):
 def test_oracle_write_failure(capsys):
     rc = main(["oracle", "--p", "5", "--sign", "+", "--n-max", "5",
                "--out", "/nonexistent-dir/t.csv"])
+    assert rc == 1
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_verify_write_failure(capsys):
+    rc = main(["verify", "--suite", "tau",
+               "--report", "/nonexistent-dir/r.json"])
     assert rc == 1
     assert "cannot write" in capsys.readouterr().err

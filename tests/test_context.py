@@ -7,7 +7,6 @@ import pytest
 
 from legpart.context import (
     b1_chi,
-    b2_chi,
     legendre,
     make_context,
     norm_mod,
@@ -88,9 +87,9 @@ def test_power_class_consistency():
 
 
 def test_b2_values():
-    assert b2_chi(make_context(17)) == 8
-    assert b2_chi(make_context(5)) == Fraction(4, 5)
-    assert b2_chi(make_context(13)) == 4
+    assert make_context(17).b2 == 8
+    assert make_context(5).b2 == Fraction(4, 5)
+    assert make_context(13).b2 == 4
 
 
 def test_b2_congruences_all_small_primes():
@@ -98,7 +97,7 @@ def test_b2_congruences_all_small_primes():
     p = 5
     while p <= 1000:
         if p % 4 == 1 and all(p % d for d in range(2, int(p ** 0.5) + 1)):
-            b2 = b2_chi(make_context(p))
+            b2 = make_context(p).b2
             if p == 5:
                 assert b2 == Fraction(4, 5)
             else:
