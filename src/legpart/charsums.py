@@ -96,13 +96,15 @@ def _units(k: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _lambda_parts(p: int, h: int, k: int):
-    """The three Dedekind-sum components both phase variants are built from."""
+def _lambda_parts(p: int, h: int, k: int) -> tuple:
+    """The finished phases (plain, dagger) of h/k, by the formulas in
+    lambda_exponent."""
     ctx = make_context(p)
     s1 = dedekind_s_chi(ctx, h, k)
     s2 = dedekind_s_chi(ctx, 2 * h, k)
     tail = dedekind_s(2 * h, k) - dedekind_s(2 * h * p, k)
-    return s1, s2, tail
+    half = Fraction(1, 2)
+    return s1 - half * s2 + half * tail, half * s2 - s1 + half * tail
 
 
 def lambda_exponent(ctx: PrimeContext, h: int, k: int,
@@ -117,12 +119,8 @@ def lambda_exponent(ctx: PrimeContext, h: int, k: int,
         raise ValueError("k must be positive")
     if math.gcd(h, k) != 1:
         raise ValueError("h and k must be coprime")
-    s1, s2, tail = _lambda_parts(ctx.p, h % k, k)
-    if variant == "plain":
-        value = s1 - Fraction(1, 2) * s2 + Fraction(1, 2) * tail
-    else:
-        value = Fraction(1, 2) * s2 - s1 + Fraction(1, 2) * tail
-    return PhaseExponent(value, variant)
+    plain, dagger = _lambda_parts(ctx.p, h % k, k)
+    return PhaseExponent(plain if variant == "plain" else dagger, variant)
 
 
 def _sawtooth_pair_sum(ctx: PrimeContext, members, h: int, k: int) -> Fraction:

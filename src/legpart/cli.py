@@ -7,9 +7,10 @@
 verify prints one line per check, writes a JSON report (schema 1), and
 exits 0 when everything passed, 1 if any check failed, 2 on usage errors,
 3 when the only non-passes were inconclusive (a numeric comparison whose
-truncation tail swamped the tolerance; rerun with more precision).  Table
-outputs are deterministic -- identical flags give byte-identical bytes;
-timestamps live only in the verify report wrapper.
+truncation tail swamped the tolerance; rerun with more precision), 4 when
+the report cannot be written.  oracle and scan exit 1 when they cannot write
+their output.  Table outputs are deterministic -- identical flags give
+byte-identical bytes; timestamps live only in the verify report wrapper.
 """
 
 import argparse
@@ -161,7 +162,7 @@ def cmd_verify(args) -> int:
             fh.write("\n")
     except OSError as exc:
         print(f"error: cannot write {args.report}: {exc}", file=sys.stderr)
-        return 1
+        return 4
 
     if counts["fail"]:
         return 1

@@ -221,5 +221,5 @@ def test_oracle_write_failure(capsys):
 def test_verify_write_failure(capsys):
     rc = main(["verify", "--suite", "tau",
                "--report", "/nonexistent-dir/r.json"])
-    assert rc == 1
+    assert rc == 4
     assert "cannot write" in capsys.readouterr().err

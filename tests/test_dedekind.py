@@ -4,8 +4,10 @@ import math
 import random
 from fractions import Fraction
 
+from legpart.charsums import lambda_exponent
 from legpart.context import make_context
 from legpart.dedekind import (
+    _s_chi_weights,
     dedekind_s,
     dedekind_s_chi,
     dedekind_s_tilde,
@@ -76,6 +78,45 @@ def test_s_chi_examples():
     assert dedekind_s_chi(c17, 1, 2) == dedekind_s_chi(c17, 2, 4)
     v = dedekind_s_chi(c5, 1, 2)
     assert v == Fraction(1, 2) * c5.b2 - Fraction(1, 2) * dedekind_t_chi(c5, 1, 2)
+
+
+def _s_chi_literal(ctx, h, k):
+    """The defining O(pk) loop of s_chi, kept as the oracle for the
+    regrouped sum: mu runs over 0 < mu < phi k, phi = p unless p | k."""
+    p = ctx.p
+    L = (1 if k % p == 0 else p) * k
+    total = 0
+    for mu in range(1, L):
+        c = ctx.chi[mu % p]
+        if c:
+            a = (h * mu) % k
+            if a:
+                t = (2 * a - k) * (2 * mu - L)
+                total += t if c > 0 else -t
+    return Fraction(total, 4 * k * L)
+
+
+def test_s_chi_matches_literal_definition():
+    for p in (5, 13, 17):
+        ctx = make_context(p)
+        for k in [*range(1, 61), p, 2 * p, 3 * p, 6 * p]:
+            # h negative, >= k and sharing factors with k included
+            for h in range(-3, k + 9):
+                assert dedekind_s_chi(ctx, h, k) == _s_chi_literal(ctx, h, k), (p, h, k)
+    ctx = make_context(17)
+    half = Fraction(1, 2)
+    for k in range(1, 41):
+        for h in range(k):
+            if math.gcd(h, k) != 1:
+                continue
+            s1 = _s_chi_literal(ctx, h, k)
+            s2 = _s_chi_literal(ctx, 2 * h, k)
+            tail = dedekind_s(2 * h, k) - dedekind_s(2 * h * 17, k)
+            plain = s1 - half * s2 + half * tail
+            dagger = half * s2 - s1 + half * tail
+            assert lambda_exponent(ctx, h, k, "plain").value == plain, (h, k)
+            assert lambda_exponent(ctx, h, k, "dagger").value == dagger, (h, k)
+    assert isinstance(_s_chi_weights.cache_info().maxsize, int)
 
 
 def test_t_chi_examples():
