@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp
 
 __all__ = [
     "DEFAULT_ORDER_CAP",
@@ -109,6 +110,14 @@ def bessel_i1(x, prec: int | None = None) -> HPReal:
     next term falls below 2^-(prec+8) of the running partial sum, which keeps
     the absolute error below 2^(8-prec) for the argument ranges used here.
     Only the ascending series is used; no asymptotic branch.
+
+    x is rounded to prec+24 bits, and the series runs in fixed-point
+    integers with prec+40 bits below the leading bit of x/2.  Each step
+    floors the exact recurrence (at most 2 units low, plus what it inherits
+    from the previous term), and the partial sum is at least x/2, so the
+    sum is low by less than 2^-(prec+37) of itself per term before the one
+    rounding to prec bits.  Raises ValueError for a negative or non-finite
+    argument.
     """
     if prec is None:
         prec = default_precision()
@@ -120,25 +129,24 @@ def bessel_i1(x, prec: int | None = None) -> HPReal:
         raise ValueError("bessel_i1 expects a nonnegative argument")
     with mp.workprec(prec + 24):
         xx = to_mpf(x)
-        if xx == 0:
-            out = mp.mpf(0)
-        else:
-            half = xx / 2
-            hsq = half * half
-            term = half  # m = 0 term
-            total = term
-            cutoff = mp.mpf(2) ** (-(prec + 8))
-            m = 0
-            while True:
-                m += 1
-                term = term * hsq / (m * (m + 1))
-                total += term
-                if term < cutoff * total:
-                    break
-            out = total
-    with mp.workprec(prec):
-        out = +out
-    return HPReal(out, prec)
+    if not mp.isfinite(xx):
+        raise ValueError("bessel_i1 expects a finite argument")
+    if xx == 0:
+        return HPReal(mp.mpf(0), prec)
+    _, man, exp, bc = xx._mpf_
+    e = exp - 1                       # x/2 = man * 2^e exactly
+    frac = prec + 40 - (e + bc)       # fractional bits of the fixed point
+    shift = max(0, -2 * e)
+    man2 = man * man << (2 * e + shift)  # (x/2)^2 = man2 * 2^-shift
+    term = total = man << (e + frac)  # m = 0 term; e + frac >= 16
+    m = 0
+    while True:
+        m += 1
+        term = (term * man2 >> shift) // (m * (m + 1))
+        total += term
+        if term << (prec + 8) < total:
+            break
+    return HPReal(mp.make_mpf(from_man_exp(total, -frac, prec, "n")), prec)
 
 
 # ---------------------------------------------------------------------------

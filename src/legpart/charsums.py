@@ -95,7 +95,12 @@ def _units(k: int) -> tuple:
     return tuple(h for h in range(k) if math.gcd(h, k) == 1) or (0,)
 
 
-@lru_cache(maxsize=None)
+# One entry per (prime, unit h, modulus k): 21,588 for one series at p = 17
+# and k_max = 222, 9,940 after the series_deep benchmark, 24,916 after the
+# whole test suite in one process, so 32768 never evicts there.  A deeper
+# series that does evict pays only when it first builds a phase vector,
+# which series.py caches per modulus.
+@lru_cache(maxsize=32768)
 def _lambda_parts(p: int, h: int, k: int) -> tuple:
     """The finished phases (plain, dagger) of h/k, by the formulas in
     lambda_exponent."""

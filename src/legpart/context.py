@@ -72,7 +72,8 @@ def _least_primitive_root(p: int) -> int:
     raise ArithmeticError(f"no primitive root found mod {p}")
 
 
-@lru_cache(maxsize=None)
+# The whole test suite builds 80 contexts; 256 never evicts there.
+@lru_cache(maxsize=256)
 def make_context(p: int) -> PrimeContext:
     """Build the context for a prime p = 1 (mod 4).
 

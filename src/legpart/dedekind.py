@@ -55,10 +55,11 @@ def _phi(p: int, k: int) -> int:
     return 1 if k % p == 0 else p
 
 
-# One entry per (prime, k).  The series reaches k <= k_max <= 222 and the
-# verify suites k <= 20p, for the primes 5, 13 and 17, so one process holds at
-# most max(222, 20p) keys per prime, 222 + 260 + 340 = 822 in all: 1024 never
-# evicts there, and still bounds an arbitrary caller.
+# One entry per (prime, k).  The series at k_max sums over the moduli k and 2k
+# for odd k <= k_max, so it reaches 2k <= 442 at k_max = 222, though only 267
+# distinct moduli at p = 17; the verify suites reach k <= 20p for the primes
+# 5, 13 and 17.  The whole test suite, run in one process, holds 497 keys:
+# 1024 never evicts there, and still bounds an arbitrary caller.
 @lru_cache(maxsize=1024)
 def _s_chi_weights(chi: tuple, k: int) -> tuple:
     """W_k[r] = sum chi(mu) (2 mu - phi k) over 0 < mu < phi k, mu = r (mod k).

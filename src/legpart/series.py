@@ -3,22 +3,29 @@
 The oracle side is pure integer arithmetic: dense convolution against
 geometric factors, one factor per admissible exponent.  The numeric side
 (q-Pochhammer products, transformation checks, series evaluation) runs on
-mpmath at a caller-chosen precision and reuses the exact phase and sum
-objects from charsums.
+mpmath at a caller-chosen precision and reuses the exact phases from
+charsums.
+
+The series evaluates its exponential sums per modulus k, not per (k, n):
+the phases z_h and the k-th roots of unity do not depend on n, so each is
+built once as a fixed-point integer vector, and each sum L(k, n) is one
+exact integer dot product rounded once to working precision, within
+2^-(wp+14) of its exact value (see _numeric_sum).  The exact cyclotomic
+sums of charsums are not on this path; the tests use them as its oracle.
 """
 
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp, from_rational, mpf_cos_sin_pi, to_fixed
 
-from .arith import (HPComplex, HPReal, bessel_i1, cyclo_to_complex,
-                    default_precision, to_mpf)
-from .charsums import (kloosterman_dagger, kloosterman_L, kloosterman_L_plus,
-                       lambda_exponent, lambda_k)
-from .context import PrimeContext
+from .arith import HPComplex, HPReal, bessel_i1, default_precision, to_mpf
+from .charsums import lambda_exponent, lambda_k
+from .context import PrimeContext, make_context
 
 _SIGNS = (1, -1)
 
@@ -52,9 +59,9 @@ class SeriesEvalConfig:
     precision: int
 
     def __post_init__(self):
-        if not isinstance(self.k_max, int) or self.k_max < 1:
+        if not _is_int(self.k_max) or self.k_max < 1:
             raise ValueError("k_max must be a positive integer")
-        if not isinstance(self.precision, int) or self.precision < 8:
+        if not _is_int(self.precision) or self.precision < 8:
             raise ValueError("precision must be an integer >= 8")
 
 
@@ -67,6 +74,11 @@ class RademacherResult:
     rounded: int
     distance_to_integer: HPReal
     k_max: int
+
+
+def _is_int(x) -> bool:
+    """An int that is not a bool: True and False are not counts."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _check_sign(sign: int) -> None:
@@ -436,24 +448,92 @@ def verify_functional_equation(ctx: PrimeContext, case: str, h: int, k: int,
 # series evaluation
 # ---------------------------------------------------------------------------
 
-_L_CACHE: dict = {}
+def _fixed_cis(num: int, den: int, bits: int) -> tuple:
+    """(cos, sin) of pi*num/den as integers scaled by 2^bits, each within
+    2^(0.1 - bits) of the true value (floor after an evaluation at bits+8)."""
+    c, s = mpf_cos_sin_pi(from_rational(num, den, bits + 8), bits + 8)
+    return to_fixed(c, bits), to_fixed(s, bits)
 
 
-def _L_value(ctx: PrimeContext, kind: str, k: int, n: int, m: int | None,
-             variant: str, prec: int):
-    """Numeric value of one exact sum, cached by reduced arguments."""
-    key = (ctx.p, kind, k, n % k, m, variant, prec)
-    cached = _L_CACHE.get(key)
-    if cached is None:
-        if kind == "L":
-            s = kloosterman_L(ctx, k, n, variant)
-        elif kind == "L_plus":
-            s = kloosterman_L_plus(ctx, k, n, m)
-        else:
-            s = kloosterman_dagger(ctx, k, n, m)
-        cached = cyclo_to_complex(s.sum, prec).value
-        _L_CACHE[key] = cached
-    return cached
+# Sizes of the per-modulus caches.  One series evaluation at (p, precision,
+# k_max) builds, for each variant, a phase vector per modulus it sums over:
+# odd k and 2k, multiples of 4 prime to p, and each odd multiple of p once
+# per nonzero sigma_m, 274 at p = 17 and k_max = 222.  Both variants at
+# k_max = 222 hold 548 vectors, 163 root tables and 520 weights; the whole
+# test suite in one process holds 792, 200 and 738, the benchmark at most 370,
+# 110 and 354.  The sizes below never evict there and bound an arbitrary
+# caller.
+@lru_cache(maxsize=1024)
+def _root_table(k: int, bits: int) -> tuple:
+    """Real and imaginary parts of omega^j = exp(2 pi i j/k), j = 0..k-1,
+    as two tuples of integers scaled by 2^bits.  The upper half mirrors the
+    lower, omega^(k-j) = conj(omega^j), and shares its cosines."""
+    low = [_fixed_cis(2 * j, k, bits) for j in range(k // 2 + 1)]
+    high = range(k // 2 + 1, k)
+    return (tuple([c for c, _ in low] + [low[k - j][0] for j in high]),
+            tuple([s for _, s in low] + [-low[k - j][1] for j in high]))
+
+
+@lru_cache(maxsize=2048)
+def _phase_vector(p: int, k: int, variant: str, m: int, cls: int | None,
+                  wp: int) -> tuple:
+    """The n-free part of one twisted sum at modulus k, in fixed point.
+
+    Returns (bits, hs, re, im): the units h mod k whose character class
+    chi(h) is cls (every unit when cls is None), and z_h = exp(i pi
+    (lambda(h,k) - 2 m inv/k)) scaled by 2^bits, with inv = h^{-1} for even
+    k and (2h)^{-1} for odd k.  bits = wp + 16 + bitlen(len(hs)), the guard
+    cyclo_to_complex adds for a sum of that many terms.
+    """
+    ctx = make_context(p)
+    hs = [h for h in range(k) if math.gcd(h, k) == 1
+          and (cls is None or ctx.chi[h % p] == cls)]
+    bits = wp + 16 + len(hs).bit_length()
+    twisted = m % k != 0
+    re, im = [], []
+    for h in hs:
+        phase = lambda_exponent(ctx, h, k, variant).value
+        if twisted:
+            inv = pow(h if k % 2 == 0 else 2 * h, -1, k)
+            phase -= Fraction(2 * (m * inv % k), k)
+        phase %= 2
+        c, s = _fixed_cis(phase.numerator, phase.denominator, bits)
+        re.append(c)
+        im.append(s)
+    return bits, tuple(hs), tuple(re), tuple(im)
+
+
+def _numeric_sum(ctx: PrimeContext, k: int, n: int, m: int, variant: str,
+                 cls: int | None, wp: int):
+    """Numeric sum over the units h of _phase_vector of z_h * omega^(-n h).
+
+    The products of the fixed-point phases and roots are summed as one
+    exact integer and rounded once to an mpc at wp bits.  Each phase and
+    root is within 2^(0.6 - bits) of its true value, so each product is
+    within 2^(1.6 - bits), and the whole sum, with bits = wp + 16 +
+    bitlen(terms), within 2^-(wp+14) before that rounding: the budget
+    cyclo_to_complex gives the exact sum, which the tests compare against.
+    """
+    bits, hs, zre, zim = _phase_vector(ctx.p, k, variant, m, cls, wp)
+    # omega_k^j = omega_2k^(2j): an odd k reads the table of 2k, so the k
+    # and 2k terms of the series share one table
+    M = k if k % 2 == 0 else 2 * k
+    cre, cim = _root_table(M, bits)
+    t = (-n % k) * (M // k)
+    re = im = 0
+    for h, a, b in zip(hs, zre, zim):
+        j = t * h % M
+        c, d = cre[j], cim[j]
+        re += a * c - b * d
+        im += a * d + b * c
+    return mp.make_mpc((from_man_exp(re, -2 * bits, wp, "n"),
+                        from_man_exp(im, -2 * bits, wp, "n")))
+
+
+@lru_cache(maxsize=2048)
+def _weight(p: int, k: int, variant: str, prec: int):
+    """lambda_k as an mpf, memoised: it does not depend on n."""
+    return lambda_k(make_context(p), k, variant, prec).value
 
 
 def c_sequence(ctx: PrimeContext) -> list:
@@ -481,9 +561,11 @@ def rademacher_eval(ctx: PrimeContext, sign: int, n: int,
     Three sub-series: odd k coprime to the prime merged with the matching
     2k term, the multiples of 4 prime to p, and the odd multiples of p where
     the inner m-sum runs over c_m > 0 with the even-split product
-    coefficients as weights.  Every exact sum goes through
-    cyclo_to_complex at working precision; n~ = n + (p-1)/24 stays rational
-    until the final square root.
+    coefficients as weights.  Everything runs at wp = precision + 32 bits.
+    Each exponential sum comes from the per-modulus fixed-point tables and
+    is within 2^-(wp+14) of its exact value before one rounding to wp bits;
+    lambda_k is memoised per (p, k, variant, wp).  n~ = n + (p-1)/24 stays
+    rational until the final square root.
 
     All three sub-series carry a factor 2*pi on top of the source display:
     the contour-integral step there evaluates a closed loop against
@@ -494,7 +576,7 @@ def rademacher_eval(ctx: PrimeContext, sign: int, n: int,
     _check_sign(sign)
     if ctx.p not in (5, 13, 17):
         raise ValueError("series evaluation is scoped to p in {5, 13, 17}")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError("n must be a positive integer")
     variant = "plain" if sign == 1 else "dagger"
     p, k_max = ctx.p, cfg.k_max
@@ -511,20 +593,21 @@ def rademacher_eval(ctx: PrimeContext, sign: int, n: int,
         for k in range(1, k_max + 1, 2):
             if k % p == 0:
                 continue
-            piece = (lambda_k(ctx, k, variant, wp).value
-                     * _L_value(ctx, "L", k, n, None, variant, wp)
-                     + lambda_k(ctx, 2 * k, variant, wp).value
-                     * _L_value(ctx, "L", 2 * k, n, None, variant, wp))
+            piece = (_weight(p, k, variant, wp)
+                     * _numeric_sum(ctx, k, n, 0, variant, None, wp)
+                     + _weight(p, 2 * k, variant, wp)
+                     * _numeric_sum(ctx, 2 * k, n, 0, variant, None, wp))
             bess = bessel_i1(kappa * sqrt_nt / (2 * k), wp).value
             total += prefac * piece / (2 * k) * bess
         for k in range(4, k_max + 1, 4):
             if k % p == 0:
                 continue
-            piece = (lambda_k(ctx, k, variant, wp).value
-                     * _L_value(ctx, "L", k, n, None, variant, wp))
+            piece = (_weight(p, k, variant, wp)
+                     * _numeric_sum(ctx, k, n, 0, variant, None, wp))
             bess = bessel_i1(kappa * sqrt_nt / k, wp).value
             total += prefac * piece / k * bess
-        kind = "L_plus" if variant == "plain" else "L_dagger_minus"
+        # L_plus (plain) or L_dagger_minus (dagger): one character class
+        cls = 1 if variant == "plain" else -1
         for K in range(p, k_max + 1, 2 * p):
             for m, cm in enumerate(cms):
                 if sig[m] == 0:
@@ -532,7 +615,8 @@ def rademacher_eval(ctx: PrimeContext, sign: int, n: int,
                 scm = mp.sqrt(to_mpf(cm))
                 bess = bessel_i1(2 * mp.pi * scm * sqrt_nt / K, wp).value
                 total += (2 * mp.pi * sig[m] * scm / (2 * K) / sqrt_nt
-                          * _L_value(ctx, kind, K, n, m, variant, wp) * bess)
+                          * _numeric_sum(ctx, K, n, m, variant, cls, wp)
+                          * bess)
         raw = mp.re(total)
         rounded = int(mp.nint(raw))
         dist = abs(raw - rounded)

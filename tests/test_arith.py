@@ -166,6 +166,55 @@ def test_bessel_rejects_negative():
         bessel_i1(-1)
 
 
+def test_bessel_rejects_non_finite():
+    for x in (mp.inf, mp.nan):
+        with pytest.raises(ValueError):
+            bessel_i1(x, prec=64)
+
+
+def _literal_bessel_i1(x, prec):
+    """The ascending series in mpf arithmetic at prec+24 bits, term by term:
+    the oracle for the fixed-point loop in bessel_i1."""
+    with mp.workprec(prec + 24):
+        if isinstance(x, Fraction):
+            xx = mp.mpf(x.numerator) / mp.mpf(x.denominator)
+        else:
+            xx = mp.mpf(x)
+        if xx == 0:
+            out = mp.mpf(0)
+        else:
+            half = xx / 2
+            hsq = half * half
+            term = half
+            total = term
+            cutoff = mp.mpf(2) ** (-(prec + 8))
+            m = 0
+            while True:
+                m += 1
+                term = term * hsq / (m * (m + 1))
+                total += term
+                if term < cutoff * total:
+                    break
+            out = total
+    with mp.workprec(prec):
+        return +out
+
+
+def test_bessel_matches_literal_series_bitwise():
+    rng = random.Random(20120523)
+    # even integers make x/2 an integer: no shift in the recurrence
+    args = [0, 1, 2, 3, 4, 12, 40, 96, 320, Fraction(1, 3),
+            Fraction(355, 113), Fraction(7, 2 ** 40)]
+    for _ in range(300):
+        with mp.workprec(rng.choice((64, 160, 300))):
+            args.append(mp.mpf(10) ** mp.mpf(rng.uniform(-12, 2.7)))
+    for i, x in enumerate(args):
+        prec = (64, 96, 128, 160, 192)[i % 5]
+        got = bessel_i1(x, prec).value
+        want = _literal_bessel_i1(x, prec)
+        assert got._mpf_ == want._mpf_, (x, prec)
+
+
 def test_default_precision_env(monkeypatch):
     monkeypatch.delenv("LEGPART_PRECISION", raising=False)
     assert default_precision() == 128

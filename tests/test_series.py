@@ -6,13 +6,19 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from legpart.arith import HPComplex, HPReal
+import legpart.charsums
+import legpart.context
+import legpart.dedekind
+import legpart.series
+from legpart.arith import HPComplex, HPReal, cyclo_to_complex
+from legpart.charsums import (kloosterman_dagger, kloosterman_L,
+                              kloosterman_L_plus)
 from legpart.context import make_context
 from legpart.series import (FEQ_CASES, InconclusiveError, RademacherResult,
-                            SeriesEvalConfig, c_sequence, oracle_table,
-                            q_pochhammer, q_pochhammer_tail, rademacher_eval,
-                            scan_vanishing, sigma_coeffs, theta_products,
-                            verify_functional_equation)
+                            SeriesEvalConfig, _numeric_sum, c_sequence,
+                            oracle_table, q_pochhammer, q_pochhammer_tail,
+                            rademacher_eval, scan_vanishing, sigma_coeffs,
+                            theta_products, verify_functional_equation)
 
 C5 = make_context(5)
 C13 = make_context(13)
@@ -345,6 +351,9 @@ def test_rademacher_rejects_out_of_scope():
         rademacher_eval(C17, 1, 0, cfg)
     with pytest.raises(ValueError):
         rademacher_eval(C17, 2, 5, cfg)
+    for n in (True, False):
+        with pytest.raises(ValueError):
+            rademacher_eval(C17, 1, n, cfg)
 
 
 def test_series_config_validation():
@@ -352,3 +361,63 @@ def test_series_config_validation():
         SeriesEvalConfig(k_max=0, precision=128)
     with pytest.raises(ValueError):
         SeriesEvalConfig(k_max=10, precision=4)
+    with pytest.raises(ValueError):
+        SeriesEvalConfig(k_max=True, precision=128)
+    with pytest.raises(ValueError):
+        SeriesEvalConfig(k_max=10, precision=True)
+
+
+def test_numeric_sums_match_exact_sums():
+    # the fixed-point sums rademacher_eval uses, against the exact
+    # cyclotomic sums converted by cyclo_to_complex, over a full residue
+    # system of n: L for odd and even k prime to p, L_plus and
+    # L_dagger_minus at odd multiples of p for every m with sigma_m != 0
+    wp = 160
+    with mp.workprec(wp):
+        tol_abs = mp.mpf(2) ** -(wp + 12)
+        tol_rel = mp.mpf(2) ** (1 - wp)
+    checked = 0
+    for ctx in (C5, C13, C17):
+        p = ctx.p
+        cms = c_sequence(ctx)
+        sig = sigma_coeffs(ctx, 1, len(cms) - 1)
+        cases = []
+        for k in (1, 2, 3, 4, 6, 7, 8, 9, 10, 12, 14, 16, 20, 30):
+            if k % p == 0:
+                continue
+            for n in range(k):
+                cases.append((k, n, 0, "plain", None,
+                              kloosterman_L(ctx, k, n, "plain")))
+                cases.append((k, n, 0, "dagger", None,
+                              kloosterman_dagger(ctx, k, n)))
+        for K in (p, 3 * p):
+            for m in range(len(cms)):
+                if sig[m] == 0:
+                    continue
+                for n in range(K):
+                    cases.append((K, n, m, "plain", 1,
+                                  kloosterman_L_plus(ctx, K, n, m)))
+                    cases.append((K, n, m, "dagger", -1,
+                                  kloosterman_dagger(ctx, K, n, m)))
+        for k, n, m, variant, cls, exact in cases:
+            got = _numeric_sum(ctx, k, n, m, variant, cls, wp)
+            want = cyclo_to_complex(exact.sum, wp).value
+            with mp.workprec(wp):
+                assert abs(got - want) <= tol_abs + tol_rel * abs(want), \
+                    (p, exact.kind, k, n, m)
+            checked += 1
+    assert checked > 1000
+
+
+def test_series_path_caches_are_bounded():
+    found = set()
+    for mod in (legpart.series, legpart.charsums, legpart.dedekind,
+                legpart.context):
+        for name, obj in vars(mod).items():
+            if (hasattr(obj, "cache_parameters")
+                    and obj.__module__ == mod.__name__):
+                maxsize = obj.cache_parameters()["maxsize"]
+                assert type(maxsize) is int and maxsize > 0, name
+                found.add(name)
+    assert {"_phase_vector", "_root_table", "_weight", "_lambda_parts",
+            "_s_chi_weights", "make_context"} <= found
