@@ -59,6 +59,21 @@ def default_precision() -> int:
     return prec
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool: True and False are not counts."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _precision(prec) -> int:
+    """prec itself, or default_precision() when it is None.  A bool, a
+    non-integer or a value below 8 bits raises ValueError."""
+    if prec is None:
+        return default_precision()
+    if not _is_int(prec) or prec < 8:
+        raise ValueError("precision must be an integer >= 8")
+    return prec
+
+
 def sawtooth(x) -> Fraction:
     """The sawtooth ((x)): x - floor(x) - 1/2 for nonintegral x, 0 at integers.
 
@@ -119,8 +134,7 @@ def bessel_i1(x, prec: int | None = None) -> HPReal:
     rounding to prec bits.  Raises ValueError for a negative or non-finite
     argument.
     """
-    if prec is None:
-        prec = default_precision()
+    prec = _precision(prec)
     if isinstance(x, Fraction):
         neg = x < 0
     else:
@@ -252,7 +266,10 @@ def cyclo_neg(s: CyclotomicSum) -> CyclotomicSum:
     return CyclotomicSum(s.order, tuple(-c for c in s.coeffs))
 
 
-@lru_cache(maxsize=None)
+# One entry per integer factored: p and p - 1 of each context and the order
+# of each sum cyclo_is_zero decides.  The whole test suite in one process
+# holds 214, so 1024 never evicts there.
+@lru_cache(maxsize=1024)
 def _prime_factors(m: int) -> tuple:
     out = []
     d = 2
@@ -315,7 +332,10 @@ def cyclo_is_zero(s: CyclotomicSum) -> bool:
     return not any(c)
 
 
-@lru_cache(maxsize=None)
+# One entry per order M, each phi(M) + 1 coefficients; in the package only
+# the cross-check reduce_mod_cyclotomic asks.  The whole test suite in one
+# process holds 16, so 64 never evicts there.
+@lru_cache(maxsize=64)
 def cyclotomic_polynomial(M: int) -> tuple:
     """Coefficients of Phi_M(x), constant term first.
 
@@ -383,8 +403,7 @@ def reduce_mod_cyclotomic(s: CyclotomicSum) -> tuple:
 
 def cyclo_to_complex(s: CyclotomicSum, prec: int | None = None) -> HPComplex:
     """Numeric value of the sum; error at most 2^(4-prec) * weight."""
-    if prec is None:
-        prec = default_precision()
+    prec = _precision(prec)
     guard = 16 + max(1, s.weight()).bit_length()
     M = s.order
     with mp.workprec(prec + guard):

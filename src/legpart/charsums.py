@@ -24,8 +24,8 @@ from mpmath import mp
 from .arith import (
     CyclotomicSum,
     HPReal,
+    _precision,
     cyclo_from_phases,
-    default_precision,
     sawtooth,
 )
 from .context import PrimeContext, make_context, norm_mod
@@ -99,7 +99,8 @@ def _units(k: int) -> tuple:
 # and k_max = 222, 9,940 after the series_deep benchmark, 24,916 after the
 # whole test suite in one process, so 32768 never evicts there.  A deeper
 # series that does evict pays only when it first builds a phase vector,
-# which series.py caches per modulus.
+# which series.py caches per modulus.  The exact sums are not cached, so
+# each one reads its phases from here again.
 @lru_cache(maxsize=32768)
 def _lambda_parts(p: int, h: int, k: int) -> tuple:
     """The finished phases (plain, dagger) of h/k, by the formulas in
@@ -174,7 +175,7 @@ def lambda_k(ctx: PrimeContext, k: int, variant: str = "plain",
     _check_variant(variant)
     if k < 1:
         raise ValueError("k must be positive")
-    prec = default_precision() if precision is None else precision
+    prec = _precision(precision)
     p = ctx.p
     if k % p == 0:
         with mp.workprec(prec):
@@ -195,40 +196,41 @@ def lambda_k(ctx: PrimeContext, k: int, variant: str = "plain",
         return HPReal(+value, prec)
 
 
-# Exact sums are cached by reduced parameters; the cyclotomic objects are
-# immutable so sharing them across callers is safe.
-_SUM_CACHE: dict = {}
-
-
 def _chi_class(ctx: PrimeContext, sign: int) -> tuple:
     """Residues a mod p with chi(a) = sign."""
     return tuple(a for a in range(1, ctx.p) if ctx.chi[a] == sign)
 
 
-def _twisted_sum(ctx: PrimeContext, variant: str, k: int, n: int, m: int,
-                 residues: tuple | None) -> CyclotomicSum:
-    """Sum over the units h mod k with h mod p in residues (every unit when
-    residues is None) of exp(i pi (lambda(h,k) - 2(n h + m inv)/k)).
+def _twisted_phases(p: int, variant: str, k: int, m: int,
+                    residues: tuple | None):
+    """The n-free part of a twisted sum: (h, phase) over the units h mod k
+    with h mod p in residues (every unit when residues is None, so the k=1
+    spoke is h=0), where phase = lambda(h,k) - 2(m inv mod k)/k reduced
+    mod 2.
 
     inv is h^{-1} mod k for even k and (2h)^{-1} mod k for odd k.  It is not
-    formed when m = 0 (mod k), which also covers the k=1 spoke h=0.
+    formed when m = 0 (mod k), which also covers the k=1 spoke h=0.  The
+    exact sums here and the fixed-point ones of the series both read it.
     """
-    n, m = n % k, m % k
-    key = (ctx.p, variant, k, n, m, residues)
-    cached = _SUM_CACHE.get(key)
-    if cached is None:
-        phases = []
-        for h in _units(k):
-            if residues is not None and h % ctx.p not in residues:
-                continue
-            twist = n * h
-            if m:
-                twist += m * pow(h if k % 2 == 0 else 2 * h, -1, k)
-            phases.append(lambda_exponent(ctx, h, k, variant).value
-                          - Fraction(2 * (twist % k), k))
-        cached = cyclo_from_phases(phases)
-        _SUM_CACHE[key] = cached
-    return cached
+    ctx = make_context(p)
+    m %= k
+    for h in _units(k):
+        if residues is not None and h % p not in residues:
+            continue
+        phase = lambda_exponent(ctx, h, k, variant).value
+        if m:
+            inv = pow(h if k % 2 == 0 else 2 * h, -1, k)
+            phase -= Fraction(2 * (m * inv % k), k)
+        yield h, phase % 2
+
+
+def _twisted_sum(ctx: PrimeContext, variant: str, k: int, n: int, m: int,
+                 residues: tuple | None) -> CyclotomicSum:
+    """Exact sum over the (h, phase) of _twisted_phases of
+    exp(i pi (phase - 2(n h mod k)/k)).  It is built afresh on each call."""
+    return cyclo_from_phases(
+        [phase - Fraction(2 * (n * h % k), k)
+         for h, phase in _twisted_phases(ctx.p, variant, k, m, residues)])
 
 
 def kloosterman_L(ctx: PrimeContext, k: int, n: int,

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .arith import HPReal, _prime_factors, default_precision
+from .arith import HPReal, _precision, _prime_factors
 
 __all__ = [
     "PrimeContext",
@@ -191,8 +191,7 @@ def norm_mod(a: int, k: int) -> int:
 
 def q_constants(ctx: PrimeContext, prec: int | None = None) -> QConstants:
     """Cosecant products 2^(-(p-1)/4) prod csc(pi a / p) over each class."""
-    if prec is None:
-        prec = default_precision()
+    prec = _precision(prec)
     with mp.workprec(prec + 16):
         scale = mp.mpf(2) ** (-(ctx.p - 1) // 4)
         qr = scale

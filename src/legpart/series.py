@@ -23,8 +23,9 @@ from functools import lru_cache
 from mpmath import mp
 from mpmath.libmp import from_man_exp, from_rational, mpf_cos_sin_pi, to_fixed
 
-from .arith import HPComplex, HPReal, bessel_i1, default_precision, to_mpf
-from .charsums import lambda_exponent, lambda_k
+from .arith import (HPComplex, HPReal, _is_int, _precision, bessel_i1,
+                    default_precision, to_mpf)
+from .charsums import _chi_class, _twisted_phases, lambda_exponent, lambda_k
 from .context import PrimeContext, make_context
 
 _SIGNS = (1, -1)
@@ -76,13 +77,8 @@ class RademacherResult:
     k_max: int
 
 
-def _is_int(x) -> bool:
-    """An int that is not a bool: True and False are not counts."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _check_sign(sign: int) -> None:
-    if sign not in _SIGNS:
+    if not _is_int(sign) or sign not in _SIGNS:
         raise ValueError("sign must be +1 or -1")
 
 
@@ -100,7 +96,7 @@ def oracle_table(ctx: PrimeContext, sign: int, n_max: int,
     seeded rng shuffles the factor list, which tests use to confirm that.
     """
     _check_sign(sign)
-    if not isinstance(n_max, int) or n_max < 1:
+    if not _is_int(n_max) or n_max < 1:
         raise ValueError("n_max must be a positive integer")
     p = ctx.p
     factors = []
@@ -132,9 +128,9 @@ def scan_vanishing(ctx: PrimeContext, sign: int, modulus: int,
     The oracle table is built once.  A residue only qualifies if the range
     actually contains members of its class; an empty class is no evidence.
     """
-    if not isinstance(modulus, int) or modulus < 1:
+    if not _is_int(modulus) or modulus < 1:
         raise ValueError("modulus must be a positive integer")
-    if not isinstance(n_min, int) or n_min < 1 or n_max < n_min:
+    if not (_is_int(n_min) and _is_int(n_max)) or n_min < 1 or n_max < n_min:
         raise ValueError("need 1 <= n_min <= n_max")
     table = oracle_table(ctx, sign, n_max)
     seen = [False] * modulus
@@ -155,7 +151,7 @@ def sigma_coeffs(ctx: PrimeContext, sign: int, m_max: int) -> list:
     contributes 2a and 2p-2a mod 2p, the other contributes p+2a and p-2a.
     """
     _check_sign(sign)
-    if not isinstance(m_max, int) or m_max < 0:
+    if not _is_int(m_max) or m_max < 0:
         raise ValueError("m_max must be a nonnegative integer")
     p = ctx.p
     even_set = ctx.r_set if sign == 1 else ctx.s_set
@@ -376,10 +372,14 @@ def verify_functional_equation(ctx: PrimeContext, case: str, h: int, k: int,
         raise ValueError("h and k must be coprime")
     if _feq_case_of(ctx, k) != case:
         raise ValueError(f"k={k} does not fall in case {case}")
-    prec = default_precision() if precision is None else precision
+    prec = _precision(precision)
     p, q = ctx.p, ctx.q
-    chi_h = ctx.chi[h % p]
-    chi_k = ctx.chi[k % p]
+    # the transformed product: a letter per case, and the sign chi_h where
+    # p | k and chi_k where not, flipped for dagger
+    flip = 1 if variant == "plain" else -1
+    sgn = flip * ctx.chi[(h if case in ("2p", "p") else k) % p]
+    fam = {"2p": "R", "p": "S", "2": "T", "1": "U"}[case]
+    fam += "+" if sgn == 1 else "-"
     with mp.workprec(prec + 32):
         zz = _as_mpc(z)
         if mp.re(zz) <= 0:
@@ -396,38 +396,23 @@ def verify_functional_equation(ctx: PrimeContext, case: str, h: int, k: int,
             hbar = pow(h, -1, k)
             xt = mp.expjpi(mp.mpf(-2 * hbar) / k) * mp.exp(-2 * mp.pi / (k * zz))
             psi = pref * (-1 / zz + zz)
-            fam = "R+" if chi_h == 1 else "R-"
-            if variant == "dagger":
-                fam = "R-" if chi_h == 1 else "R+"
         elif case == "p":
             inv2h = pow(2 * h, -1, k)
             xt = mp.expjpi(mp.mpf(-2 * inv2h) / k) * mp.exp(-mp.pi / (k * zz))
-            coef = Fraction(3, q) * chi_h * (1 - Fraction(ctx.chi[2], 4)) * ctx.b2
-            if variant == "dagger":
-                coef = -coef
+            coef = Fraction(3, q) * sgn * (1 - Fraction(ctx.chi[2], 4)) * ctx.b2
             psi = pref * ((to_mpf(coef) - mp.mpf(1) / 4) / zz + zz)
-            if variant == "plain":
-                fam = "S+" if chi_h == 1 else "S-"
-            else:
-                fam = "S+" if chi_h == -1 else "S-"
         elif case == "2":
             K = k * p
             Hbar = pow(h * p % k, -1, k)
             xt = mp.expjpi(mp.mpf(-2 * Hbar) / k) * mp.exp(-2 * mp.pi / (K * zz))
             psi = pref * (mp.mpf(1) / p / zz + zz)
             lam = lambda_k(ctx, k, variant, prec + 32).value
-            fam = "T+" if chi_k == 1 else "T-"
-            if variant == "dagger":
-                fam = "T-" if chi_k == 1 else "T+"
         else:
             K = k * p
             inv2H = pow(2 * h * p % k, -1, k) if k > 1 else 0
             xt = mp.expjpi(mp.mpf(-2 * inv2H) / k) * mp.exp(-mp.pi / (K * zz))
             psi = pref * (mp.mpf(1) / (4 * p) / zz + zz)
             lam = lambda_k(ctx, k, variant, prec + 32).value
-            fam = "U+" if chi_k == 1 else "U-"
-            if variant == "dagger":
-                fam = "U-" if chi_k == 1 else "U+"
         if abs(xt) >= 1:
             raise ValueError("the transformed point must satisfy |x~| < 1")
 
@@ -462,7 +447,8 @@ def _fixed_cis(num: int, den: int, bits: int) -> tuple:
 # k_max = 222 hold 548 vectors, 163 root tables and 520 weights; the whole
 # test suite in one process holds 792, 200 and 738, the benchmark at most 370,
 # 110 and 354.  The sizes below never evict there and bound an arbitrary
-# caller.
+# caller.  charsums._twisted_phases keeps no cache of its own: _phase_vector
+# holds its output here, and _lambda_parts the phases lambda(h,k) beneath.
 @lru_cache(maxsize=1024)
 def _root_table(k: int, bits: int) -> tuple:
     """Real and imaginary parts of omega^j = exp(2 pi i j/k), j = 0..k-1,
@@ -480,27 +466,17 @@ def _phase_vector(p: int, k: int, variant: str, m: int, cls: int | None,
     """The n-free part of one twisted sum at modulus k, in fixed point.
 
     Returns (bits, hs, re, im): the units h mod k whose character class
-    chi(h) is cls (every unit when cls is None), and z_h = exp(i pi
-    (lambda(h,k) - 2 m inv/k)) scaled by 2^bits, with inv = h^{-1} for even
-    k and (2h)^{-1} for odd k.  bits = wp + 16 + bitlen(len(hs)), the guard
-    cyclo_to_complex adds for a sum of that many terms.
+    chi(h) is cls (every unit when cls is None), and z_h = exp(i pi phase)
+    scaled by 2^bits, for the (h, phase) of charsums._twisted_phases.
+    bits = wp + 16 + bitlen(len(hs)), the guard cyclo_to_complex adds for
+    a sum of that many terms.
     """
-    ctx = make_context(p)
-    hs = [h for h in range(k) if math.gcd(h, k) == 1
-          and (cls is None or ctx.chi[h % p] == cls)]
-    bits = wp + 16 + len(hs).bit_length()
-    twisted = m % k != 0
-    re, im = [], []
-    for h in hs:
-        phase = lambda_exponent(ctx, h, k, variant).value
-        if twisted:
-            inv = pow(h if k % 2 == 0 else 2 * h, -1, k)
-            phase -= Fraction(2 * (m * inv % k), k)
-        phase %= 2
-        c, s = _fixed_cis(phase.numerator, phase.denominator, bits)
-        re.append(c)
-        im.append(s)
-    return bits, tuple(hs), tuple(re), tuple(im)
+    residues = None if cls is None else _chi_class(make_context(p), cls)
+    pairs = tuple(_twisted_phases(p, variant, k, m, residues))
+    bits = wp + 16 + len(pairs).bit_length()
+    cis = [_fixed_cis(ph.numerator, ph.denominator, bits) for _, ph in pairs]
+    return (bits, tuple(h for h, _ in pairs), tuple(c for c, _ in cis),
+            tuple(s for _, s in cis))
 
 
 def _numeric_sum(ctx: PrimeContext, k: int, n: int, m: int, variant: str,

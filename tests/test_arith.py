@@ -172,6 +172,17 @@ def test_bessel_rejects_non_finite():
             bessel_i1(x, prec=64)
 
 
+def test_precision_must_be_an_int_of_at_least_8_bits():
+    one = cyclo_from_phases([0])
+    for prec in (True, False, 4, 7, 64.0, "128"):
+        with pytest.raises(ValueError):
+            bessel_i1(1, prec)
+        with pytest.raises(ValueError):
+            cyclo_to_complex(one, prec)
+    assert bessel_i1(1, 8).prec == 8
+    assert cyclo_to_complex(one, 8).value == 1
+
+
 def _literal_bessel_i1(x, prec):
     """The ascending series in mpf arithmetic at prec+24 bits, term by term:
     the oracle for the fixed-point loop in bessel_i1."""

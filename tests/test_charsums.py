@@ -96,6 +96,9 @@ def test_lambda_k_pinned_values():
     qc = q_constants(C17, 128)
     assert abs(dg.value - qc.q_s.value) < mp.mpf(2) ** -100
     assert abs(dg.value - qs) < mp.mpf(2) ** -90
+    for prec in (True, 4, 128.0):
+        with pytest.raises(ValueError):
+            lambda_k(C17, 3, "plain", prec)
 
 
 def test_lambda_k_even_p5():
@@ -251,14 +254,14 @@ def test_twisted_sums_match_literal_definition():
                 cases.append((kloosterman_dagger(ctx, k, n),
                               (k, n, 0, "dagger", every)))
         for K in (p, 3 * p):
-            for n in (0, 1, 7):
+            for n in (0, 1, 7, -2, K + 3):
                 for m in (0, 1, -3, K):
                     cases.append((kloosterman_L_plus(ctx, K, n, m),
                                   (K, n, m, "plain", quadratic)))
                     cases.append((kloosterman_dagger(ctx, K, n, m=m),
                                   (K, n, m, "dagger", nonquadratic)))
         for k in (p, 2 * p, 3 * p):
-            for n in (0, 1, 7):
+            for n in (0, 1, 7, -2, k + 3):
                 for m in (0, 1, -3, k):
                     for d in (1, 2, p - 1):
                         for variant in ("plain", "dagger"):

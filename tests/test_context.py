@@ -165,3 +165,6 @@ def test_q_constants_closed_forms():
             assert abs(qc.q_big.value - want) / want < mp.mpf(2) ** (8 - 128)
             rel = abs(qc.q_big.value * qc.q_s.value ** 2 - qc.q_r.value ** 2)
             assert rel < mp.mpf(2) ** (8 - 128) * qc.q_r.value ** 2
+    for prec in (True, 4, 128.0):
+        with pytest.raises(ValueError):
+            q_constants(make_context(5), prec)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+import legpart.arith
 import legpart.charsums
 import legpart.context
 import legpart.dedekind
@@ -86,6 +87,14 @@ def test_oracle_rejects_bad_input():
         oracle_table(C5, 0, 10)
     with pytest.raises(ValueError):
         oracle_table(C5, 1, 0)
+    # bools and floats are not signs or counts
+    for args in ((True, 6), (1, True), (-1, 6.0)):
+        with pytest.raises(ValueError):
+            oracle_table(C5, *args)
+        with pytest.raises(ValueError):
+            sigma_coeffs(C5, *args)
+    with pytest.raises(ValueError):
+        sigma_coeffs(C5, 1, False)
 
 
 def test_scan_vanishing_p5():
@@ -107,6 +116,12 @@ def test_scan_rejects_bad_range():
         scan_vanishing(C5, 1, 0, 1, 10)
     with pytest.raises(ValueError):
         scan_vanishing(C5, 1, 10, 5, 4)
+    for args in ((True, 1, 10), (10, True, 10), (10, 1, True),
+                 (10, 1.0, 10)):
+        with pytest.raises(ValueError):
+            scan_vanishing(C5, 1, *args)
+    with pytest.raises(ValueError):
+        scan_vanishing(C5, True, 10, 1, 10)
 
 
 def test_growth_sanity_p13():
@@ -283,6 +298,9 @@ def test_feq_rejects_bad_parameters():
         verify_functional_equation(C5, "1", 1, 1, -1)       # Re z <= 0
     with pytest.raises(ValueError):
         verify_functional_equation(C5, "1", 1, 1, 1, variant="both")
+    for prec in (True, 4, 128.0):
+        with pytest.raises(ValueError):
+            verify_functional_equation(C5, "1", 1, 1, 1, precision=prec)
 
 
 def test_feq_inconclusive_when_tail_dominates():
@@ -351,6 +369,8 @@ def test_rademacher_rejects_out_of_scope():
         rademacher_eval(C17, 1, 0, cfg)
     with pytest.raises(ValueError):
         rademacher_eval(C17, 2, 5, cfg)
+    with pytest.raises(ValueError):
+        rademacher_eval(C17, True, 5, cfg)
     for n in (True, False):
         with pytest.raises(ValueError):
             rademacher_eval(C17, 1, n, cfg)
@@ -412,7 +432,7 @@ def test_numeric_sums_match_exact_sums():
 def test_series_path_caches_are_bounded():
     found = set()
     for mod in (legpart.series, legpart.charsums, legpart.dedekind,
-                legpart.context):
+                legpart.context, legpart.arith):
         for name, obj in vars(mod).items():
             if (hasattr(obj, "cache_parameters")
                     and obj.__module__ == mod.__name__):
@@ -420,4 +440,5 @@ def test_series_path_caches_are_bounded():
                 assert type(maxsize) is int and maxsize > 0, name
                 found.add(name)
     assert {"_phase_vector", "_root_table", "_weight", "_lambda_parts",
-            "_s_chi_weights", "make_context"} <= found
+            "_s_chi_weights", "make_context", "_prime_factors",
+            "cyclotomic_polynomial"} <= found
