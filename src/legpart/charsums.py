@@ -7,9 +7,11 @@ complete exponential sums are cyclotomic integers, and the congruence
 checkers work on cleared integers.
 
 Two independent routes to the phase exist on purpose: lambda_exponent goes
-through Dedekind sums, phi_root through the literal double sawtooth sums.
-They must agree (the test suite insists on it), which guards each against
-transcription slips in the other.
+through Dedekind sums, phi_root through the double sawtooth sums over the
+residue classes, each summed as one cleared integer along its residue
+progressions and divided once.  phi_root reads nothing of the Dedekind
+route, so the two must agree (the test suite insists on it), which guards
+each against transcription slips in the other.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from mpmath import mp
 from .arith import (
     CyclotomicSum,
     HPReal,
+    _is_int,
     _precision,
     cyclo_from_phases,
-    sawtooth,
 )
 from .context import PrimeContext, make_context, norm_mod
 from .dedekind import dedekind_s, dedekind_s_chi
@@ -90,6 +92,14 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
+def _check_pair(h, k) -> None:
+    """h/k for the phase routes: two ints, not bools, with k positive."""
+    if not (_is_int(h) and _is_int(k)):
+        raise ValueError(f"h and k must be ints, got {h!r} and {k!r}")
+    if k < 1:
+        raise ValueError("k must be positive")
+
+
 def _units(k: int) -> tuple:
     # invertible residues mod k; the k=1 wheel has the single spoke h=0
     return tuple(h for h in range(k) if math.gcd(h, k) == 1) or (0,)
@@ -121,8 +131,7 @@ def lambda_exponent(ctx: PrimeContext, h: int, k: int,
     dagger: s_chi(2h,k)/2 - s_chi(h,k) + {s(2h,k) - s(2hp,k)}/2
     """
     _check_variant(variant)
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_pair(h, k)
     if math.gcd(h, k) != 1:
         raise ValueError("h and k must be coprime")
     plain, dagger = _lambda_parts(ctx.p, h % k, k)
@@ -131,16 +140,23 @@ def lambda_exponent(ctx: PrimeContext, h: int, k: int,
 
 def _sawtooth_pair_sum(ctx: PrimeContext, members, h: int, k: int) -> Fraction:
     """sum over a in members and mu mod lcm(k,p) with mu = +-a (mod p) of
-    ((h mu / k)) ((mu / lcm(k,p))).  The literal double-sum route."""
+    ((h mu / k)) ((mu / lcm(k,p))).  The double-sum route.
+
+    With L = lcm(k,p) and r = h mu mod k, each term is (2r - k)(2mu - L) /
+    (4kL), or 0 when r = 0 (mu = 0 never occurs: members lie in
+    1..(p-1)/2, so neither +a nor -a is 0 mod p).  mu runs along the two
+    progressions mod p, and the numerators are summed as one int.
+    """
     p = ctx.p
     L = math.lcm(k, p)
-    total = Fraction(0)
+    total = 0
     for a in members:
-        targets = {a % p, (p - a) % p}
-        for mu in range(L):
-            if mu % p in targets:
-                total += sawtooth(Fraction(h * mu, k)) * sawtooth(Fraction(mu, L))
-    return total
+        for t in (a % p, -a % p):
+            for mu in range(t, L, p):
+                r = h * mu % k
+                if r:
+                    total += (2 * r - k) * (2 * mu - L)
+    return Fraction(total, 4 * k * L)
 
 
 def phi_root(ctx: PrimeContext, h: int, k: int, variant: str = "plain") -> Fraction:
@@ -153,8 +169,7 @@ def phi_root(ctx: PrimeContext, h: int, k: int, variant: str = "plain") -> Fract
     phase(h,k) applies.
     """
     _check_variant(variant)
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_pair(h, k)
     er_h = _sawtooth_pair_sum(ctx, ctx.r_set, h, k)
     es_h = _sawtooth_pair_sum(ctx, ctx.s_set, h, k)
     if variant == "plain":

@@ -25,7 +25,8 @@ from mpmath.libmp import from_man_exp, from_rational, mpf_cos_sin_pi, to_fixed
 
 from .arith import (HPComplex, HPReal, _is_int, _precision, bessel_i1,
                     default_precision, to_mpf)
-from .charsums import _chi_class, _twisted_phases, lambda_exponent, lambda_k
+from .charsums import (_check_variant, _chi_class, _twisted_phases,
+                       lambda_exponent, lambda_k)
 from .context import PrimeContext, make_context
 
 _SIGNS = (1, -1)
@@ -364,8 +365,7 @@ def verify_functional_equation(ctx: PrimeContext, case: str, h: int, k: int,
     """
     if case not in FEQ_CASES:
         raise ValueError(f"unknown case tag: {case}")
-    if variant not in ("plain", "dagger"):
-        raise ValueError(f"unknown variant: {variant}")
+    _check_variant(variant)
     if not (0 < h <= k):
         raise ValueError("need 0 < h <= k")
     if math.gcd(h, k) != 1:

@@ -8,8 +8,9 @@ import mpmath as mp
 import pytest
 
 from legpart.arith import (cyclo_add, cyclo_from_phases, cyclo_is_zero,
-                           cyclo_neg, cyclo_to_complex)
+                           cyclo_neg, cyclo_to_complex, sawtooth)
 from legpart.charsums import (
+    _sawtooth_pair_sum,
     check_congruence_mod16,
     check_congruence_modThK,
     kloosterman_L,
@@ -44,12 +45,62 @@ def test_lambda_exponent_rejects():
         lambda_exponent(C17, 1, 0)
     with pytest.raises(ValueError):
         lambda_exponent(C17, 1, 1, variant="nope")
+    for h, k in ((True, 3), (1, True), (1.0, 3), (1, 3.0)):
+        with pytest.raises(ValueError):
+            lambda_exponent(C17, h, k)
 
 
 def test_phi_root_examples():
     assert phi_root(C5, 1, 1) == 0
     assert (phi_root(C5, 3, 6) - phi_root(C5, 1, 2)) % 2 == 0
     assert (phi_root(C17, 2, 17) - lambda_exponent(C17, 2, 17).value) % 2 == 0
+
+
+def test_phi_root_rejects():
+    with pytest.raises(ValueError):
+        phi_root(C17, 1, 0)
+    with pytest.raises(ValueError):
+        phi_root(C17, 1, 1, variant="nope")
+    for h, k in ((True, 3), (1, True), (1.0, 3), (1, 3.0)):
+        with pytest.raises(ValueError):
+            phi_root(C17, h, k)
+
+
+def _literal_sawtooth_pair_sum(ctx, members, h, k):
+    """The double sawtooth sum term by term in Fractions, scanning every
+    mu mod lcm(k,p) for the classes +-a mod p."""
+    p = ctx.p
+    L = math.lcm(k, p)
+    total = Fraction(0)
+    for a in members:
+        targets = {a % p, (p - a) % p}
+        for mu in range(L):
+            if mu % p in targets:
+                total += sawtooth(Fraction(h * mu, k)) * sawtooth(Fraction(mu, L))
+    return total
+
+
+@pytest.mark.parametrize("ctx", (C5, C13, C17), ids=("p5", "p13", "p17"))
+def test_phi_root_matches_literal_sawtooth_sums(ctx):
+    # every h in -3..k+3, so negative h, h > k and non-coprime pairs too;
+    # ((x)) is 1-periodic, so the literal sum at h equals the one at h mod k
+    p = ctx.p
+    memo = {}
+
+    def literal(cls, h, k):
+        members = ctx.r_set if cls == "r" else ctx.s_set
+        key = (cls, h % k, k)
+        if key not in memo:
+            memo[key] = _literal_sawtooth_pair_sum(ctx, members, h % k, k)
+        assert _sawtooth_pair_sum(ctx, members, h, k) == memo[key], (cls, h, k)
+        return memo[key]
+
+    for k in sorted(set(range(1, 41)) | {p, 2 * p, 3 * p}):
+        for h in range(-3, k + 4):
+            er, es = literal("r", h, k), literal("s", h, k)
+            er2, es2 = literal("r", 2 * h, k), literal("s", 2 * h, k)
+            assert phi_root(ctx, h, k) == (er + es2 - es) % 2, (h, k)
+            assert phi_root(ctx, h, k, "dagger") == (er2 - er + es) % 2, (h, k)
 
 
 def test_phase_routes_agree():

@@ -296,7 +296,8 @@ def test_feq_rejects_bad_parameters():
         verify_functional_equation(C5, "2", 1, 3, 1)        # case mismatch
     with pytest.raises(ValueError):
         verify_functional_equation(C5, "1", 1, 1, -1)       # Re z <= 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"variant must be one of "
+                       r"\('plain', 'dagger'\), got 'both'"):
         verify_functional_equation(C5, "1", 1, 1, 1, variant="both")
     for prec in (True, 4, 128.0):
         with pytest.raises(ValueError):
