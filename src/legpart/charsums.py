@@ -188,8 +188,8 @@ def lambda_k(ctx: PrimeContext, k: int, variant: str = "plain",
     the dagger variant swaps the roles of the two classes.
     """
     _check_variant(variant)
-    if k < 1:
-        raise ValueError("k must be positive")
+    if not _is_int(k) or k < 1:
+        raise ValueError(f"k must be a positive int, got {k!r}")
     prec = _precision(precision)
     p = ctx.p
     if k % p == 0:
@@ -242,7 +242,10 @@ def _twisted_phases(p: int, variant: str, k: int, m: int,
 def _twisted_sum(ctx: PrimeContext, variant: str, k: int, n: int, m: int,
                  residues: tuple | None) -> CyclotomicSum:
     """Exact sum over the (h, phase) of _twisted_phases of
-    exp(i pi (phase - 2(n h mod k)/k)).  It is built afresh on each call."""
+    exp(i pi (phase - 2(n h mod k)/k)).  It is built afresh on each call.
+    Every Kloosterman entry point passes its k, n and m through here."""
+    if not (_is_int(k) and _is_int(n) and _is_int(m)):
+        raise ValueError(f"k, n and m must be ints, got {k!r}, {n!r}, {m!r}")
     return cyclo_from_phases(
         [phase - Fraction(2 * (n * h % k), k)
          for h, phase in _twisted_phases(ctx.p, variant, k, m, residues)])
@@ -264,8 +267,15 @@ def kloosterman_L(ctx: PrimeContext, k: int, n: int,
 
 
 def _require_odd_multiple(ctx: PrimeContext, K: int) -> None:
-    if K % ctx.p != 0 or K % 2 == 0 or K < 1:
+    if not _is_int(K) or K % ctx.p != 0 or K % 2 == 0 or K < 1:
         raise ValueError(f"K must be an odd positive multiple of {ctx.p}")
+
+
+def _require_unit(ctx: PrimeContext, h: int, K: int) -> None:
+    """K an odd positive multiple of p, and h an int invertible mod K."""
+    _require_odd_multiple(ctx, K)
+    if not _is_int(h) or math.gcd(h, K) != 1:
+        raise ValueError(f"h must be an int invertible mod K, got {h!r}")
 
 
 def kloosterman_L_plus(ctx: PrimeContext, K: int, n: int,
@@ -284,8 +294,8 @@ def kloosterman_L_nmd(ctx: PrimeContext, k: int, n: int, m: int, d: int,
     _check_variant(variant)
     if k < 1 or k % ctx.p != 0:
         raise ValueError("k must be a positive multiple of the context prime")
-    if math.gcd(d, ctx.p) != 1:
-        raise ValueError("d must be invertible mod p")
+    if not _is_int(d) or math.gcd(d, ctx.p) != 1:
+        raise ValueError(f"d must be an int invertible mod p, got {d!r}")
     total = _twisted_sum(ctx, variant, k, n, m, (d % ctx.p,))
     return KloostermanSum(total, "L_nmd",
                           (("k", k), ("n", n), ("m", m), ("d", d)))
@@ -319,9 +329,7 @@ def tau_count(ctx: PrimeContext, h: int, K: int, pair: str) -> TauCount:
     multiple of p, and h invertible mod K."""
     if pair not in TAU_PAIRS:
         raise ValueError(f"pair must be one of {TAU_PAIRS}")
-    _require_odd_multiple(ctx, K)
-    if math.gcd(h, K) != 1:
-        raise ValueError("h must be invertible mod K")
+    _require_unit(ctx, h, K)
     p = ctx.p
     want_parity = 0 if pair[0] == "e" else 1
     want_class = 1 if pair[1] == "r" else -1
@@ -355,9 +363,7 @@ def check_congruence_mod16(ctx: PrimeContext, h: int, K: int,
     (p-1) is needed for the other primes and is invisible at p=17.
     """
     _check_variant(variant)
-    _require_odd_multiple(ctx, K)
-    if math.gcd(h, K) != 1:
-        raise ValueError("h must be invertible mod K")
+    _require_unit(ctx, h, K)
     p = ctx.p
     cleared = _cleared_exponent(ctx, h, K, variant)
     pair = "es" if variant == "plain" else "er"
@@ -376,9 +382,7 @@ def check_congruence_modThK(ctx: PrimeContext, h: int, K: int,
     parts must hold for a True result.
     """
     _check_variant(variant)
-    _require_odd_multiple(ctx, K)
-    if math.gcd(h, K) != 1:
-        raise ValueError("h must be invertible mod K")
+    _require_unit(ctx, h, K)
     p = ctx.p
     cleared = _cleared_exponent(ctx, h, K, variant)
     theta = math.gcd(3, K)

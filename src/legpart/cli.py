@@ -19,7 +19,6 @@ import sys
 import time
 from datetime import datetime, timezone
 
-from .arith import default_precision
 from .context import _is_prime, make_context
 from .series import oracle_table, scan_vanishing
 from .verify import SERIES_PRIMES, SUITE_RUNNERS
@@ -152,7 +151,6 @@ def cmd_verify(args) -> int:
         "elapsed": round(elapsed, 3),
         "config": {
             "scale": args.scale,
-            "precision": default_precision(),
             "series_primes": list(SERIES_PRIMES),
         },
     }

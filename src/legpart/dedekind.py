@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .context import PrimeContext, b1_chi
+from .context import PrimeContext
 
 __all__ = [
     "dedekind_s",

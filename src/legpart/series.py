@@ -1,10 +1,12 @@
 """Exact generating-function oracle and the numeric series machinery.
 
-The oracle side is pure integer arithmetic: dense convolution against
-geometric factors, one factor per admissible exponent.  The numeric side
-(q-Pochhammer products, transformation checks, series evaluation) runs on
-mpmath at a caller-chosen precision and reuses the exact phases from
-charsums.
+Each +-1 product family (Phi, PhiDagger, F/G, R+-, S+-) is written once,
+as a factor table in _factors.  The oracle side expands those tables in pure
+integer arithmetic, folding one geometric factor per admissible exponent
+into a dense array (oracle_table, sigma_coeffs).  The numeric side
+(q-Pochhammer and theta products from the same tables, transformation
+checks, series evaluation) runs on mpmath at a caller-chosen precision and
+reuses the exact phases from charsums.
 
 The series evaluates its exponential sums per modulus k, not per (k, n):
 the phases z_h and the k-th roots of unity do not depend on n, so each is
@@ -25,8 +27,8 @@ from mpmath.libmp import from_man_exp, from_rational, mpf_cos_sin_pi, to_fixed
 
 from .arith import (HPComplex, HPReal, _is_int, _precision, bessel_i1,
                     default_precision, to_mpf)
-from .charsums import (_check_variant, _chi_class, _twisted_phases,
-                       lambda_exponent, lambda_k)
+from .charsums import (_check_pair, _check_variant, _chi_class,
+                       _twisted_phases, lambda_exponent, lambda_k)
 from .context import PrimeContext, make_context
 
 _SIGNS = (1, -1)
@@ -83,35 +85,58 @@ def _check_sign(sign: int) -> None:
         raise ValueError("sign must be +1 or -1")
 
 
+def _check_truncation(truncation, least: int) -> None:
+    if not _is_int(truncation) or truncation < least:
+        raise ValueError(f"truncation must be an int >= {least}, "
+                         f"got {truncation!r}")
+
+
 # ---------------------------------------------------------------------------
 # exact oracle
 # ---------------------------------------------------------------------------
 
-def oracle_table(ctx: PrimeContext, sign: int, n_max: int,
-                 rng: random.Random | None = None) -> SignedPartitionTable:
-    """Exact coefficients of the signed-partition generating function.
+def _factors(ctx: PrimeContext, family: str) -> list:
+    """The factor table of one +-1 product family.
 
-    Expands the product of (1 - sign*chi_a*x^(a+jp))^(-1) over all exponents
-    a+jp <= n_max by folding one geometric factor at a time into a dense
-    integer array.  The result does not depend on the fold order; passing a
-    seeded rng shuffles the factor list, which tests use to confirm that.
+    Each (sign, first, step) stands for the factors (1 - sign*x^e)^(-1) over
+    e = first + j*step, j >= 0.  F/G are the plain and sign-alternating class
+    products, R+ = F_r*G_s and R- = G_r*F_s, and in S+/S- the favoured class
+    contributes 2a and 2p-2a mod 2p, the other p+2a and p-2a.
     """
-    _check_sign(sign)
-    if not _is_int(n_max) or n_max < 1:
-        raise ValueError("n_max must be a positive integer")
     p = ctx.p
-    factors = []
-    for a in range(1, p):
-        c = sign * ctx.chi[a]
-        base = a
-        while base <= n_max:
-            factors.append((base, c))
-            base += p
+    if family in ("Phi", "PhiDagger"):
+        flip = 1 if family == "Phi" else -1
+        return [(flip * ctx.chi[a], a, p) for a in range(1, p)]
+    if family in ("F_r", "F_s", "G_r", "G_s"):
+        members = ctx.r_set if family.endswith("r") else ctx.s_set
+        sgn = 1 if family.startswith("F") else -1
+        return [(sgn, e, p) for a in members for e in (a, p - a)]
+    if family == "R+":
+        return _factors(ctx, "F_r") + _factors(ctx, "G_s")
+    if family == "R-":
+        return _factors(ctx, "G_r") + _factors(ctx, "F_s")
+    # S+ or S-
+    even_set = ctx.r_set if family == "S+" else ctx.s_set
+    odd_set = ctx.s_set if family == "S+" else ctx.r_set
+    return ([(1, e, 2 * p) for a in even_set for e in (2 * a, 2 * p - 2 * a)]
+            + [(1, e, 2 * p) for a in odd_set for e in (p + 2 * a, p - 2 * a)])
+
+
+def _fold(factors: list, n_max: int, rng: random.Random | None = None) -> list:
+    """Coefficients of x^0..x^n_max of the product over a factor table.
+
+    Folds one geometric factor (1 - c*x^base)^(-1) at a time into a dense
+    integer array.  The result does not depend on the fold order; passing a
+    seeded rng shuffles the expanded factor list, which tests use to confirm
+    that.
+    """
+    terms = [(base, c) for c, first, step in factors
+             for base in range(first, n_max + 1, step)]
     if rng is not None:
-        rng.shuffle(factors)
+        rng.shuffle(terms)
     values = [0] * (n_max + 1)
     values[0] = 1
-    for base, c in factors:
+    for base, c in terms:
         # values *= (1 - c x^base)^(-1), i.e. w[i] = v[i] + c*w[i-base]
         if c == 1:
             for i in range(base, n_max + 1):
@@ -119,7 +144,23 @@ def oracle_table(ctx: PrimeContext, sign: int, n_max: int,
         else:
             for i in range(base, n_max + 1):
                 values[i] -= values[i - base]
-    return SignedPartitionTable(p, sign, tuple(values))
+    return values
+
+
+def oracle_table(ctx: PrimeContext, sign: int, n_max: int,
+                 rng: random.Random | None = None) -> SignedPartitionTable:
+    """Exact coefficients of the signed-partition generating function.
+
+    Expands the factor table of Phi (sign +1) or PhiDagger (sign -1), the
+    product of (1 - sign*chi_a*x^(a+jp))^(-1) over all exponents a+jp <=
+    n_max, with _fold; a seeded rng shuffles the fold order.
+    """
+    _check_sign(sign)
+    if not _is_int(n_max) or n_max < 1:
+        raise ValueError("n_max must be a positive integer")
+    family = "Phi" if sign == 1 else "PhiDagger"
+    values = _fold(_factors(ctx, family), n_max, rng)
+    return SignedPartitionTable(ctx.p, sign, tuple(values))
 
 
 def scan_vanishing(ctx: PrimeContext, sign: int, modulus: int,
@@ -147,30 +188,14 @@ def scan_vanishing(ctx: PrimeContext, sign: int, modulus: int,
 def sigma_coeffs(ctx: PrimeContext, sign: int, m_max: int) -> list:
     """Exact series coefficients of the even/odd-split product pair S^+/S^-.
 
-    Both variants are products of plain inverse factors (1 - x^e)^(-1) with
-    exponent families read off the two residue classes: the favoured class
-    contributes 2a and 2p-2a mod 2p, the other contributes p+2a and p-2a.
+    Both variants are products of plain inverse factors (1 - x^e)^(-1); the
+    exponents are the factor table of S+ (sign +1) or S- (sign -1), expanded
+    with _fold.
     """
     _check_sign(sign)
     if not _is_int(m_max) or m_max < 0:
         raise ValueError("m_max must be a nonnegative integer")
-    p = ctx.p
-    even_set = ctx.r_set if sign == 1 else ctx.s_set
-    odd_set = ctx.s_set if sign == 1 else ctx.r_set
-    exps = []
-    for a in even_set:
-        exps.extend((2 * a, 2 * p - 2 * a))
-    for a in odd_set:
-        exps.extend((p + 2 * a, p - 2 * a))
-    values = [0] * (m_max + 1)
-    values[0] = 1
-    for e in exps:
-        base = e
-        while base <= m_max:
-            for i in range(base, m_max + 1):
-                values[i] += values[i - base]
-            base += 2 * p
-    return values
+    return _fold(_factors(ctx, "S+" if sign == 1 else "S-"), m_max)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +244,7 @@ def q_pochhammer(z, q, truncation: int) -> HPComplex:
 
     Needs |q| < 1; see q_pochhammer_tail for the matching tail bound.
     """
-    if truncation < 0:
-        raise ValueError("truncation must be nonnegative")
+    _check_truncation(truncation, 0)
     prec = _carried_prec(z, q)
     with mp.workprec(prec + 16):
         zz, qq = _as_mpc(z), _as_mpc(q)
@@ -233,6 +257,7 @@ def q_pochhammer(z, q, truncation: int) -> HPComplex:
 
 def q_pochhammer_tail(z, q, truncation: int) -> HPReal:
     """Relative error bound matching q_pochhammer at the same arguments."""
+    _check_truncation(truncation, 0)
     prec = _carried_prec(z, q)
     with mp.workprec(prec + 16):
         zz, qq = _as_mpc(z), _as_mpc(q)
@@ -244,64 +269,34 @@ def q_pochhammer_tail(z, q, truncation: int) -> HPReal:
 
 
 def _theta_pairs(ctx: PrimeContext, family: str, x):
-    """(z, q) arguments of the inverse Pochhammer factors of one family."""
-    p = ctx.p
+    """(z, q) arguments of the inverse Pochhammer factors of one family.
+
+    The +-1 families read their _factors table: (sign, first, step) is the
+    pair (sign*x^first, x^step).  T+/T- and U+/U- carry the p-th roots of
+    unity w = exp(2 pi i a/p): (members, sign, y, q) gives the pairs
+    (sign*w*y, q) and (sign*conj(w)*y, q) for each a in members.
+    """
     pairs = []
-    if family in ("Phi", "PhiDagger"):
-        flip = 1 if family == "Phi" else -1
-        xp = x ** p
-        for a in range(1, p):
-            pairs.append((flip * ctx.chi[a] * x ** a, xp))
-    elif family in ("F_r", "F_s", "G_r", "G_s"):
-        members = ctx.r_set if family.endswith("r") else ctx.s_set
-        sgn = 1 if family.startswith("F") else -1
-        xp = x ** p
-        for a in members:
-            pairs.append((sgn * x ** a, xp))
-            pairs.append((sgn * x ** (p - a), xp))
-    elif family in ("R+", "R-"):
-        sgn = 1 if family == "R+" else -1
-        xp = x ** p
-        for a in ctx.r_set:
-            pairs.append((sgn * x ** a, xp))
-            pairs.append((sgn * x ** (p - a), xp))
-        for a in ctx.s_set:
-            pairs.append((-sgn * x ** a, xp))
-            pairs.append((-sgn * x ** (p - a), xp))
-    elif family in ("S+", "S-"):
-        x2p = x ** (2 * p)
-        even_set = ctx.r_set if family == "S+" else ctx.s_set
-        odd_set = ctx.s_set if family == "S+" else ctx.r_set
-        for a in even_set:
-            pairs.append((x ** (2 * a), x2p))
-            pairs.append((x ** (2 * p - 2 * a), x2p))
-        for a in odd_set:
-            pairs.append((x ** (p + 2 * a), x2p))
-            pairs.append((x ** (p - 2 * a), x2p))
-    elif family in ("T+", "T-"):
+    if family not in ("T+", "T-", "U+", "U-"):
+        powers = {}
+        for sign, first, step in _factors(ctx, family):
+            if step not in powers:
+                powers[step] = x ** step
+            pairs.append((sign * x ** first, powers[step]))
+        return pairs
+    if family in ("T+", "T-"):
         sgn = 1 if family == "T+" else -1
-        for a in ctx.r_set:
-            w = mp.expjpi(mp.mpf(2 * a) / p)
-            pairs.append((sgn * w * x, x))
-            pairs.append((sgn * mp.conj(w) * x, x))
-        for a in ctx.s_set:
-            w = mp.expjpi(mp.mpf(2 * a) / p)
-            pairs.append((-sgn * w * x, x))
-            pairs.append((-sgn * mp.conj(w) * x, x))
-    elif family in ("U+", "U-"):
+        groups = ((ctx.r_set, sgn, x, x), (ctx.s_set, -sgn, x, x))
+    else:
         x2 = x * x
         sq_set = ctx.r_set if family == "U+" else ctx.s_set
         lin_set = ctx.s_set if family == "U+" else ctx.r_set
-        for a in sq_set:
-            w = mp.expjpi(mp.mpf(2 * a) / p)
-            pairs.append((w * x2, x2))
-            pairs.append((mp.conj(w) * x2, x2))
-        for a in lin_set:
-            w = mp.expjpi(mp.mpf(2 * a) / p)
-            pairs.append((w * x, x2))
-            pairs.append((mp.conj(w) * x, x2))
-    else:
-        raise ValueError(f"unknown product family: {family}")
+        groups = ((sq_set, 1, x2, x2), (lin_set, 1, x, x2))
+    for members, sign, y, q in groups:
+        for a in members:
+            w = mp.expjpi(mp.mpf(2 * a) / ctx.p)
+            pairs.append((sign * w * y, q))
+            pairs.append((sign * mp.conj(w) * y, q))
     return pairs
 
 
@@ -327,8 +322,7 @@ def theta_products(ctx: PrimeContext, family: str, x,
     """
     if family not in THETA_FAMILIES:
         raise ValueError(f"unknown product family: {family}")
-    if truncation < 1:
-        raise ValueError("truncation must be positive")
+    _check_truncation(truncation, 1)
     prec = _carried_prec(x)
     with mp.workprec(prec + 24):
         xx = _as_mpc(x)
@@ -366,6 +360,8 @@ def verify_functional_equation(ctx: PrimeContext, case: str, h: int, k: int,
     if case not in FEQ_CASES:
         raise ValueError(f"unknown case tag: {case}")
     _check_variant(variant)
+    _check_pair(h, k)
+    _check_truncation(truncation, 1)
     if not (0 < h <= k):
         raise ValueError("need 0 < h <= k")
     if math.gcd(h, k) != 1:

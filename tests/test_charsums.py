@@ -336,6 +336,36 @@ def test_tau_count_examples():
         tau_count(C17, 17, 51, "es")
 
 
+def test_entry_points_reject_bools_and_floats():
+    # every k, K, n, m, h and d is an int that is not a bool
+    calls = [
+        lambda v: lambda_k(C17, v),
+        lambda v: kloosterman_L(C17, v, 1),
+        lambda v: kloosterman_L(C17, 3, v),
+        lambda v: kloosterman_L_plus(C17, v, 1, 0),
+        lambda v: kloosterman_L_plus(C17, 17, v, 0),
+        lambda v: kloosterman_L_plus(C17, 17, 1, v),
+        lambda v: kloosterman_L_nmd(C17, 34, v, 0, 1),
+        lambda v: kloosterman_L_nmd(C17, 34, 1, v, 1),
+        lambda v: kloosterman_L_nmd(C17, 34, 1, 0, v),
+        lambda v: kloosterman_dagger(C17, v, 1),
+        lambda v: kloosterman_dagger(C17, 17, v, 0),
+        lambda v: kloosterman_dagger(C17, 17, 1, v),
+        lambda v: tau_count(C17, v, 17, "er"),
+        lambda v: check_congruence_mod16(C17, v, 17),
+        lambda v: check_congruence_modThK(C17, v, 17),
+    ]
+    for call in calls:
+        for v in (True, 1.0, 3.0):
+            with pytest.raises(ValueError):
+                call(v)
+    for v in (True, 17.0):
+        with pytest.raises(ValueError):
+            kloosterman_dagger(C17, v, 1, 0)
+        with pytest.raises(ValueError):
+            tau_count(C17, 1, v, "er")
+
+
 def test_tau_complementarity_and_transfer():
     # nonquadratic h: the even-class counters have opposite parities; the
     # odd-class counters differ from the even ones by (p-1)/4

@@ -12,11 +12,13 @@ import legpart.context
 import legpart.dedekind
 import legpart.series
 from legpart.arith import HPComplex, HPReal, cyclo_to_complex
-from legpart.charsums import (kloosterman_dagger, kloosterman_L,
+from legpart.charsums import (_chi_class, _twisted_phases,
+                              kloosterman_dagger, kloosterman_L,
                               kloosterman_L_plus)
 from legpart.context import make_context
-from legpart.series import (FEQ_CASES, InconclusiveError, RademacherResult,
-                            SeriesEvalConfig, _numeric_sum, c_sequence,
+from legpart.series import (FEQ_CASES, THETA_FAMILIES, InconclusiveError,
+                            RademacherResult, SeriesEvalConfig, _numeric_sum,
+                            _phase_vector, _theta_pairs, c_sequence,
                             oracle_table, q_pochhammer, q_pochhammer_tail,
                             rademacher_eval, scan_vanishing, sigma_coeffs,
                             theta_products, verify_functional_equation)
@@ -24,6 +26,9 @@ from legpart.series import (FEQ_CASES, InconclusiveError, RademacherResult,
 C5 = make_context(5)
 C13 = make_context(13)
 C17 = make_context(17)
+
+# the product tests compare against these literal factor lists at p = 29 too
+LITERAL_PRIMES = (5, 13, 17, 29)
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +85,34 @@ def test_oracle_factor_order_invariance():
         assert oracle_table(C13, 1, 120, rng=rng).values == base.values
     based = oracle_table(C13, -1, 120)
     assert oracle_table(C13, -1, 120, rng=rng).values == based.values
+
+
+def _literal_oracle_values(ctx, sign, n_max):
+    """The oracle with its factor list written out: (1 - sign*chi_a
+    x^(a+jp))^(-1) for every exponent a+jp <= n_max, folded in order."""
+    p = ctx.p
+    factors = []
+    for a in range(1, p):
+        c = sign * ctx.chi[a]
+        base = a
+        while base <= n_max:
+            factors.append((base, c))
+            base += p
+    values = [0] * (n_max + 1)
+    values[0] = 1
+    for base, c in factors:
+        for i in range(base, n_max + 1):
+            values[i] += c * values[i - base]
+    return tuple(values)
+
+
+@pytest.mark.parametrize("p", LITERAL_PRIMES)
+def test_oracle_matches_literal_factor_list(p):
+    ctx = make_context(p)
+    for sign in (1, -1):
+        want = _literal_oracle_values(ctx, sign, 400)
+        assert oracle_table(ctx, sign, 400).values == want
+        assert oracle_table(ctx, sign, 400, random.Random(p)).values == want
 
 
 def test_oracle_rejects_bad_input():
@@ -154,6 +187,34 @@ def test_sigma_matches_numeric_product():
         assert abs(val - approx) < mp.mpf(2) ** (-55)
 
 
+def _literal_sigma_coeffs(ctx, sign, m_max):
+    """S^+/S^- with its exponent list written out: 2a and 2p-2a for the
+    favoured class, p+2a and p-2a for the other, each stepped by 2p."""
+    p = ctx.p
+    even_set = ctx.r_set if sign == 1 else ctx.s_set
+    odd_set = ctx.s_set if sign == 1 else ctx.r_set
+    exps = []
+    for a in even_set:
+        exps.extend((2 * a, 2 * p - 2 * a))
+    for a in odd_set:
+        exps.extend((p + 2 * a, p - 2 * a))
+    values = [0] * (m_max + 1)
+    values[0] = 1
+    for e in exps:
+        for base in range(e, m_max + 1, 2 * p):
+            for i in range(base, m_max + 1):
+                values[i] += values[i - base]
+    return values
+
+
+@pytest.mark.parametrize("p", LITERAL_PRIMES)
+def test_sigma_matches_literal_exponent_list(p):
+    ctx = make_context(p)
+    for sign in (1, -1):
+        want = _literal_sigma_coeffs(ctx, sign, 400)
+        assert sigma_coeffs(ctx, sign, 400) == want
+
+
 def test_c_sequence_values():
     assert c_sequence(C5) == [Fraction(5, 6)]
     assert c_sequence(C13) == [Fraction(9, 2), Fraction(5, 2), Fraction(1, 2)]
@@ -190,6 +251,12 @@ def test_q_pochhammer_half():
 def test_q_pochhammer_rejects_big_q():
     with pytest.raises(ValueError):
         q_pochhammer(HPComplex(mp.mpc(0.5), 64), HPComplex(mp.mpc(1.0), 64), 10)
+    # the product and its tail bound refuse the same truncations
+    for truncation in (-1, 2.5, True):
+        with pytest.raises(ValueError):
+            q_pochhammer(0.1, 0.5, truncation)
+        with pytest.raises(ValueError):
+            q_pochhammer_tail(0.1, 0.5, truncation)
 
 
 def test_q_pochhammer_tail_decreases():
@@ -251,11 +318,93 @@ def test_theta_dagger_mirror_identity():
         assert abs(lhs - rhs) < mp.mpf(2) ** (-100) * abs(lhs)
 
 
+def _literal_theta_pairs(ctx, family, x):
+    """Every family's (z, q) pairs written out one by one."""
+    p = ctx.p
+    pairs = []
+    if family in ("Phi", "PhiDagger"):
+        flip = 1 if family == "Phi" else -1
+        xp = x ** p
+        for a in range(1, p):
+            pairs.append((flip * ctx.chi[a] * x ** a, xp))
+    elif family in ("F_r", "F_s", "G_r", "G_s"):
+        members = ctx.r_set if family.endswith("r") else ctx.s_set
+        sgn = 1 if family.startswith("F") else -1
+        xp = x ** p
+        for a in members:
+            pairs.append((sgn * x ** a, xp))
+            pairs.append((sgn * x ** (p - a), xp))
+    elif family in ("R+", "R-"):
+        sgn = 1 if family == "R+" else -1
+        xp = x ** p
+        for a in ctx.r_set:
+            pairs.append((sgn * x ** a, xp))
+            pairs.append((sgn * x ** (p - a), xp))
+        for a in ctx.s_set:
+            pairs.append((-sgn * x ** a, xp))
+            pairs.append((-sgn * x ** (p - a), xp))
+    elif family in ("S+", "S-"):
+        x2p = x ** (2 * p)
+        even_set = ctx.r_set if family == "S+" else ctx.s_set
+        odd_set = ctx.s_set if family == "S+" else ctx.r_set
+        for a in even_set:
+            pairs.append((x ** (2 * a), x2p))
+            pairs.append((x ** (2 * p - 2 * a), x2p))
+        for a in odd_set:
+            pairs.append((x ** (p + 2 * a), x2p))
+            pairs.append((x ** (p - 2 * a), x2p))
+    elif family in ("T+", "T-"):
+        sgn = 1 if family == "T+" else -1
+        for a in ctx.r_set:
+            w = mp.expjpi(mp.mpf(2 * a) / p)
+            pairs.append((sgn * w * x, x))
+            pairs.append((sgn * mp.conj(w) * x, x))
+        for a in ctx.s_set:
+            w = mp.expjpi(mp.mpf(2 * a) / p)
+            pairs.append((-sgn * w * x, x))
+            pairs.append((-sgn * mp.conj(w) * x, x))
+    elif family in ("U+", "U-"):
+        x2 = x * x
+        sq_set = ctx.r_set if family == "U+" else ctx.s_set
+        lin_set = ctx.s_set if family == "U+" else ctx.r_set
+        for a in sq_set:
+            w = mp.expjpi(mp.mpf(2 * a) / p)
+            pairs.append((w * x2, x2))
+            pairs.append((mp.conj(w) * x2, x2))
+        for a in lin_set:
+            w = mp.expjpi(mp.mpf(2 * a) / p)
+            pairs.append((w * x, x2))
+            pairs.append((mp.conj(w) * x, x2))
+    return pairs
+
+
+@pytest.mark.parametrize("p", LITERAL_PRIMES)
+def test_theta_pairs_match_literal_definition(p):
+    # bit for bit and in order: the products are unchanged whatever the
+    # factor table looks like
+    ctx = make_context(p)
+    for prec in (96, 160):
+        with mp.workprec(prec):
+            xs = (mp.mpc("0.3", "0.2"),
+                  mp.mpf("0.41") * mp.expjpi(mp.mpf(2) / 7))
+            for x in xs:
+                for family in THETA_FAMILIES:
+                    got = _theta_pairs(ctx, family, x)
+                    want = _literal_theta_pairs(ctx, family, x)
+                    assert len(got) == len(want) > 0, family
+                    for (z, q), (z0, q0) in zip(got, want):
+                        assert z._mpc_ == z0._mpc_, (prec, family)
+                        assert q._mpc_ == q0._mpc_, (prec, family)
+
+
 def test_theta_rejects_outside_disk():
     with pytest.raises(ValueError):
         theta_products(C5, "Phi", HPComplex(mp.mpc(1.01), 64), 50)
     with pytest.raises(ValueError):
         theta_products(C5, "nope", HPComplex(mp.mpc(0.5), 64), 50)
+    for truncation in (0, -1, 2.5, True):
+        with pytest.raises(ValueError):
+            theta_products(C5, "Phi", HPComplex(mp.mpc(0.5), 64), truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +451,12 @@ def test_feq_rejects_bad_parameters():
     for prec in (True, 4, 128.0):
         with pytest.raises(ValueError):
             verify_functional_equation(C5, "1", 1, 1, 1, precision=prec)
+    for h, k in ((True, 1), (1, True), (1.0, 1), (1, 1.0)):
+        with pytest.raises(ValueError):
+            verify_functional_equation(C5, "1", h, k, 1)
+    for truncation in (0, 2.5, True):
+        with pytest.raises(ValueError):
+            verify_functional_equation(C5, "1", 1, 1, 1, truncation)
 
 
 def test_feq_inconclusive_when_tail_dominates():
@@ -428,6 +583,40 @@ def test_numeric_sums_match_exact_sums():
                     (p, exact.kind, k, n, m)
             checked += 1
     assert checked > 1000
+
+
+def test_numeric_sums_are_real():
+    # chi(-1) = 1 at these primes, so -h mod k is a unit of the same class
+    # as h; its phase is the negated one, so z_(-h) = conj(z_h) and each
+    # sum L(k, n) is real: its imaginary part stays inside the error budget
+    # 2^-(wp+14) of _numeric_sum.  k < 40 prime to p, and K = p, 3p, 5p for
+    # every m with sigma_m != 0, in the classes the series sums over
+    wp = 160
+    with mp.workprec(wp):
+        budget = mp.mpf(2) ** -(wp + 14)
+    for ctx in (C5, C13, C17):
+        p = ctx.p
+        cms = c_sequence(ctx)
+        sig = sigma_coeffs(ctx, 1, len(cms) - 1)
+        cases = [(k, 0, variant, None) for k in range(1, 40) if k % p
+                 for variant in ("plain", "dagger")]
+        cases += [(K, m, variant, cls) for K in (p, 3 * p, 5 * p)
+                  for m in range(len(cms)) if sig[m]
+                  for variant, cls in (("plain", 1), ("dagger", -1))]
+        for k, m, variant, cls in cases:
+            residues = None if cls is None else _chi_class(ctx, cls)
+            phases = dict(_twisted_phases(p, variant, k, m, residues))
+            _, hs, zre, zim = _phase_vector(p, k, variant, m, cls, wp)
+            assert list(hs) == list(phases)
+            at = {h: i for i, h in enumerate(hs)}
+            for i, h in enumerate(hs):
+                j = at[-h % k]
+                assert phases[hs[j]] == -phases[h] % 2, (p, k, m, variant, h)
+                # each fixed-point value is within 2^0.1 units of the truth
+                assert abs(zre[j] - zre[i]) <= 2 and abs(zim[j] + zim[i]) <= 2
+            for n in range(k):
+                got = _numeric_sum(ctx, k, n, m, variant, cls, wp)
+                assert abs(got.imag) <= budget, (p, k, n, m, variant)
 
 
 def test_series_path_caches_are_bounded():
