@@ -54,14 +54,26 @@ def default_precision() -> int:
         prec = int(raw)
     except ValueError as exc:
         raise ValueError(f"LEGPART_PRECISION must be an integer, got {raw!r}") from exc
-    if prec < 8:
-        raise ValueError("precision below 8 bits is not supported")
+    _check_int("LEGPART_PRECISION", prec, 8)
     return prec
 
 
-def _is_int(x) -> bool:
-    """An int that is not a bool: True and False are not counts."""
-    return isinstance(x, int) and not isinstance(x, bool)
+def _check_int(name: str, value, least: int | None = None) -> None:
+    """The one guard on int arguments: raise ValueError naming the argument
+    unless value is an int and, if least is given, at least least.  A bool
+    is not an int here: True and False are not counts."""
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or (least is not None and value < least)):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an int{bound}, got {value!r}")
+
+
+def _check_choice(name: str, value, choices: tuple) -> None:
+    """The one guard on choice arguments: raise ValueError naming the
+    argument unless value is one of choices, which share one type, and of
+    that type, so that 1.0, True and mpf(1) are not the choice 1."""
+    if value not in choices or type(value) is not type(choices[0]):
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
 def _precision(prec) -> int:
@@ -69,8 +81,7 @@ def _precision(prec) -> int:
     non-integer or a value below 8 bits raises ValueError."""
     if prec is None:
         return default_precision()
-    if not _is_int(prec) or prec < 8:
-        raise ValueError("precision must be an integer >= 8")
+    _check_int("precision", prec, 8)
     return prec
 
 
@@ -187,9 +198,6 @@ class CyclotomicSum:
         """Sum of absolute coefficient values (trivial bound on the modulus)."""
         return sum(abs(c) for c in self.coeffs)
 
-    def support(self) -> tuple:
-        return tuple(j for j, c in enumerate(self.coeffs) if c)
-
 
 def _canonical(order: int, pairs) -> CyclotomicSum:
     c = [0] * order
@@ -205,8 +213,7 @@ def _canonical(order: int, pairs) -> CyclotomicSum:
 
 
 def cyclo_zero(order: int = 2) -> CyclotomicSum:
-    if order < 1:
-        raise ValueError("order must be positive")
+    _check_int("order", order, 1)
     return CyclotomicSum(order, (0,) * order)
 
 
@@ -246,12 +253,7 @@ def cyclo_from_phases(phases, weights=None) -> CyclotomicSum:
 def cyclo_add_phase(s: CyclotomicSum, phase,
                     weight: int = 1) -> CyclotomicSum:
     """s + weight * exp(i pi phase), rescaling the order to the lcm if needed."""
-    ph = Fraction(phase) % 2
-    order = _capped(math.lcm(s.order, 2 * ph.denominator))
-    scale = order // s.order
-    pairs = [(j * scale, c) for j, c in enumerate(s.coeffs) if c]
-    pairs.append((_phase_to_exponent(ph, order), weight))
-    return _canonical(order, pairs)
+    return cyclo_add(s, cyclo_from_phases([phase], [weight]))
 
 
 def cyclo_add(a: CyclotomicSum, b: CyclotomicSum) -> CyclotomicSum:
@@ -343,8 +345,7 @@ def cyclotomic_polynomial(M: int) -> tuple:
     multiply out the mu = +1 factors, then divide the mu = -1 ones back out
     exactly.
     """
-    if M < 1:
-        raise ValueError("order must be positive")
+    _check_int("M", M, 1)
     poly = [1]
     negs = []
     for d in range(1, M + 1):

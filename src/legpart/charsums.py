@@ -26,7 +26,8 @@ from mpmath import mp
 from .arith import (
     CyclotomicSum,
     HPReal,
-    _is_int,
+    _check_choice,
+    _check_int,
     _precision,
     cyclo_from_phases,
 )
@@ -87,19 +88,6 @@ class TauCount:
     class_pair: str
 
 
-def _check_variant(variant: str) -> None:
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-
-
-def _check_pair(h, k) -> None:
-    """h/k for the phase routes: two ints, not bools, with k positive."""
-    if not (_is_int(h) and _is_int(k)):
-        raise ValueError(f"h and k must be ints, got {h!r} and {k!r}")
-    if k < 1:
-        raise ValueError("k must be positive")
-
-
 def _units(k: int) -> tuple:
     # invertible residues mod k; the k=1 wheel has the single spoke h=0
     return tuple(h for h in range(k) if math.gcd(h, k) == 1) or (0,)
@@ -130,8 +118,9 @@ def lambda_exponent(ctx: PrimeContext, h: int, k: int,
     plain:  s_chi(h,k) - s_chi(2h,k)/2 + {s(2h,k) - s(2hp,k)}/2
     dagger: s_chi(2h,k)/2 - s_chi(h,k) + {s(2h,k) - s(2hp,k)}/2
     """
-    _check_variant(variant)
-    _check_pair(h, k)
+    _check_choice("variant", variant, VARIANTS)
+    _check_int("h", h)
+    _check_int("k", k, 1)
     if math.gcd(h, k) != 1:
         raise ValueError("h and k must be coprime")
     plain, dagger = _lambda_parts(ctx.p, h % k, k)
@@ -168,8 +157,9 @@ def phi_root(ctx: PrimeContext, h: int, k: int, variant: str = "plain") -> Fract
     accepts non-coprime pairs, where the scaling law phase(qh,qk) =
     phase(h,k) applies.
     """
-    _check_variant(variant)
-    _check_pair(h, k)
+    _check_choice("variant", variant, VARIANTS)
+    _check_int("h", h)
+    _check_int("k", k, 1)
     er_h = _sawtooth_pair_sum(ctx, ctx.r_set, h, k)
     es_h = _sawtooth_pair_sum(ctx, ctx.s_set, h, k)
     if variant == "plain":
@@ -187,9 +177,8 @@ def lambda_k(ctx: PrimeContext, k: int, variant: str = "plain",
     a cosecant product, and even k pick up a ratio over the other class;
     the dagger variant swaps the roles of the two classes.
     """
-    _check_variant(variant)
-    if not _is_int(k) or k < 1:
-        raise ValueError(f"k must be a positive int, got {k!r}")
+    _check_choice("variant", variant, VARIANTS)
+    _check_int("k", k, 1)
     prec = _precision(precision)
     p = ctx.p
     if k % p == 0:
@@ -243,9 +232,10 @@ def _twisted_sum(ctx: PrimeContext, variant: str, k: int, n: int, m: int,
                  residues: tuple | None) -> CyclotomicSum:
     """Exact sum over the (h, phase) of _twisted_phases of
     exp(i pi (phase - 2(n h mod k)/k)).  It is built afresh on each call.
-    Every Kloosterman entry point passes its k, n and m through here."""
-    if not (_is_int(k) and _is_int(n) and _is_int(m)):
-        raise ValueError(f"k, n and m must be ints, got {k!r}, {n!r}, {m!r}")
+    Every Kloosterman entry point checks its k and passes its n and m
+    through here."""
+    _check_int("n", n)
+    _check_int("m", m)
     return cyclo_from_phases(
         [phase - Fraction(2 * (n * h % k), k)
          for h, phase in _twisted_phases(ctx.p, variant, k, m, residues)])
@@ -256,9 +246,8 @@ def kloosterman_L(ctx: PrimeContext, k: int, n: int,
     """Complete sum over invertible h mod k of the phase multiplier times
     exp(-2 pi i n h / k), as an exact cyclotomic integer.  Needs p coprime
     to k; the h=0 term makes the k=1 sum exactly 1."""
-    _check_variant(variant)
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_choice("variant", variant, VARIANTS)
+    _check_int("k", k, 1)
     if k % ctx.p == 0:
         raise ValueError("k must be coprime to the context prime")
     kind = "L" if variant == "plain" else "L_dagger"
@@ -267,14 +256,16 @@ def kloosterman_L(ctx: PrimeContext, k: int, n: int,
 
 
 def _require_odd_multiple(ctx: PrimeContext, K: int) -> None:
-    if not _is_int(K) or K % ctx.p != 0 or K % 2 == 0 or K < 1:
+    _check_int("K", K, 1)
+    if K % ctx.p != 0 or K % 2 == 0:
         raise ValueError(f"K must be an odd positive multiple of {ctx.p}")
 
 
 def _require_unit(ctx: PrimeContext, h: int, K: int) -> None:
     """K an odd positive multiple of p, and h an int invertible mod K."""
     _require_odd_multiple(ctx, K)
-    if not _is_int(h) or math.gcd(h, K) != 1:
+    _check_int("h", h)
+    if math.gcd(h, K) != 1:
         raise ValueError(f"h must be an int invertible mod K, got {h!r}")
 
 
@@ -291,10 +282,12 @@ def kloosterman_L_nmd(ctx: PrimeContext, k: int, n: int, m: int, d: int,
                       variant: str = "plain") -> KloostermanSum:
     """Class sum over h = d (mod p): the inverse twist is m h^{-1} when
     2p | k and m (2h)^{-1} when k is an odd multiple of p."""
-    _check_variant(variant)
-    if k < 1 or k % ctx.p != 0:
+    _check_choice("variant", variant, VARIANTS)
+    _check_int("k", k, 1)
+    if k % ctx.p != 0:
         raise ValueError("k must be a positive multiple of the context prime")
-    if not _is_int(d) or math.gcd(d, ctx.p) != 1:
+    _check_int("d", d)
+    if math.gcd(d, ctx.p) != 1:
         raise ValueError(f"d must be an int invertible mod p, got {d!r}")
     total = _twisted_sum(ctx, variant, k, n, m, (d % ctx.p,))
     return KloostermanSum(total, "L_nmd",
@@ -309,8 +302,7 @@ def kloosterman_dagger(ctx: PrimeContext, k: int, n: int,
     k an odd multiple of p: restriction to the nonquadratic class with the
     inverse twist, so m is required.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_int("k", k, 1)
     if k % ctx.p != 0:
         if m is not None:
             raise ValueError("m only applies when p divides k")
@@ -327,8 +319,7 @@ def tau_count(ctx: PrimeContext, h: int, K: int, pair: str) -> TauCount:
     """Count 0 < mu < K with p coprime to mu, mu of the named parity and
     quadratic class, and h mu reduced mod K odd.  K itself must be an odd
     multiple of p, and h invertible mod K."""
-    if pair not in TAU_PAIRS:
-        raise ValueError(f"pair must be one of {TAU_PAIRS}")
+    _check_choice("pair", pair, TAU_PAIRS)
     _require_unit(ctx, h, K)
     p = ctx.p
     want_parity = 0 if pair[0] == "e" else 1
@@ -362,7 +353,7 @@ def check_congruence_mod16(ctx: PrimeContext, h: int, K: int,
     formula's 2(2h-1)(p-1) only matches when 16 divides p-1; the extra
     (p-1) is needed for the other primes and is invisible at p=17.
     """
-    _check_variant(variant)
+    _check_choice("variant", variant, VARIANTS)
     _require_unit(ctx, h, K)
     p = ctx.p
     cleared = _cleared_exponent(ctx, h, K, variant)
@@ -381,7 +372,7 @@ def check_congruence_modThK(ctx: PrimeContext, h: int, K: int,
     does not divide K the cleared exponent must also vanish mod 3; both
     parts must hold for a True result.
     """
-    _check_variant(variant)
+    _check_choice("variant", variant, VARIANTS)
     _require_unit(ctx, h, K)
     p = ctx.p
     cleared = _cleared_exponent(ctx, h, K, variant)
@@ -421,7 +412,9 @@ def _tau_expect_table(ctx: PrimeContext) -> dict:
 def verify_tau_table(ctx: PrimeContext, K_max: int) -> dict:
     """Check every parity-counter entry for every odd multiple of p up to
     K_max and every invertible h.  Returns a report dict with the check
-    count, a witness list of failures, and an overall ok flag."""
+    count, a witness list of failures, and an overall ok flag.  K_max must
+    be an int of at least p, so that at least K = p is checked."""
+    _check_int("K_max", K_max, ctx.p)
     expected = _tau_expect_table(ctx)
     checks = 0
     failures = []

@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .arith import _check_int
 from .context import PrimeContext
 
 __all__ = [
@@ -33,8 +34,8 @@ def dedekind_s(h: int, k: int) -> Fraction:
     For mu in 1..k-1 the sawtooths are (2a-k)/(2k) with a = h mu mod k (or 0
     when a = 0), so 4 k^2 s(h,k) is the integer accumulated below.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_int("h", h)
+    _check_int("k", k, 1)
     total = 0
     for mu in range(1, k):
         a = (h * mu) % k
@@ -45,8 +46,8 @@ def dedekind_s(h: int, k: int) -> Fraction:
 
 def dedekind_t(h: int, k: int) -> int:
     """The companion lattice sum t(h,k) = sum_{mu mod k} mu * floor(h mu / k)."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_int("h", h)
+    _check_int("k", k, 1)
     return sum(mu * ((h * mu) // k) for mu in range(k))
 
 
@@ -83,8 +84,8 @@ def _s_chi_weights(chi: tuple, k: int) -> tuple:
 def dedekind_s_chi(ctx: PrimeContext, h: int, k: int) -> Fraction:
     """Character twist sum_{mu mod phi k} chi(mu) ((h mu / k))((mu / phi k)),
     where phi = p unless p | k (then phi = 1)."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_int("h", h)
+    _check_int("k", k, 1)
     w = _s_chi_weights(ctx.chi, k)
     total = 0
     for r in range(1, k):
@@ -96,8 +97,8 @@ def dedekind_s_chi(ctx: PrimeContext, h: int, k: int) -> Fraction:
 
 def dedekind_t_chi(ctx: PrimeContext, h: int, k: int) -> Fraction:
     """Twisted lattice sum (1/phi) sum_{mu mod phi k} mu chi(mu) floor(h mu / k)."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_int("h", h)
+    _check_int("k", k, 1)
     p = ctx.p
     chi = ctx.chi
     phi = _phi(p, k)
@@ -117,8 +118,8 @@ def dedekind_s_tilde(ctx: PrimeContext, a: int, b: int) -> Fraction:
     in O(1) from the cumulative character table, so the loop stays integral:
     the accumulated total is 4bp times the result.
     """
-    if b <= 1:
-        raise ValueError("b must exceed 1")
+    _check_int("a", a)
+    _check_int("b", b, 2)
     if math.gcd(a, b) != 1:
         raise ValueError("a and b must be coprime")
     p = ctx.p
@@ -144,6 +145,7 @@ def lattice_floor_sum(ctx: PrimeContext, a: int, y) -> int:
     floor((a mu + nu + a y)/p) = floor((a mu + nu + floor(a y))/p), so the
     whole computation is integer arithmetic.
     """
+    _check_int("a", a)
     ay = Fraction(a) * Fraction(y)
     e = ay.numerator // ay.denominator
     p = ctx.p
@@ -166,8 +168,10 @@ def verify_reciprocity_classical(h: int, k: int) -> bool:
         s(h,k) + s(k,h) = -1/4 + (h/k + k/h + 1/(hk)) / 12
         h t(h,k) + k t(k,h) = (h-1)(k-1)(8hk - h - k - 1) / 12
     """
-    if h < 1 or k < 1 or math.gcd(h, k) != 1:
-        raise ValueError("need positive coprime h, k")
+    _check_int("h", h, 1)
+    _check_int("k", k, 1)
+    if math.gcd(h, k) != 1:
+        raise ValueError("h and k must be coprime")
     lhs_s = dedekind_s(h, k) + dedekind_s(k, h)
     rhs_s = Fraction(-1, 4) + (Fraction(h, k) + Fraction(k, h)
                                + Fraction(1, h * k)) / 12
@@ -187,8 +191,10 @@ def verify_reciprocity_chi(ctx: PrimeContext, h: int, k: int) -> bool:
 
         s_chi(h,K) + chi(h) s_chi(Khat, h) = ((h^2 + chi(h)) / (2 h K)) B2_chi.
     """
-    if h <= 1 or k < 1 or math.gcd(h, k) != 1:
-        raise ValueError("need h > 1 coprime to k")
+    _check_int("h", h, 2)
+    _check_int("k", k, 1)
+    if math.gcd(h, k) != 1:
+        raise ValueError("h and k must be coprime")
     if k % ctx.p:
         lhs = dedekind_s_chi(ctx, h, k) + dedekind_s_tilde(ctx, k, h)
         return lhs == Fraction(h, 2 * k) * ctx.b2

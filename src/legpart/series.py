@@ -25,10 +25,10 @@ from functools import lru_cache
 from mpmath import mp
 from mpmath.libmp import from_man_exp, from_rational, mpf_cos_sin_pi, to_fixed
 
-from .arith import (HPComplex, HPReal, _is_int, _precision, bessel_i1,
-                    default_precision, to_mpf)
-from .charsums import (_check_pair, _check_variant, _chi_class,
-                       _twisted_phases, lambda_exponent, lambda_k)
+from .arith import (HPComplex, HPReal, _check_choice, _check_int, _precision,
+                    bessel_i1, default_precision, to_mpf)
+from .charsums import (VARIANTS, _chi_class, _twisted_phases, lambda_exponent,
+                       lambda_k)
 from .context import PrimeContext, make_context
 
 _SIGNS = (1, -1)
@@ -63,10 +63,8 @@ class SeriesEvalConfig:
     precision: int
 
     def __post_init__(self):
-        if not _is_int(self.k_max) or self.k_max < 1:
-            raise ValueError("k_max must be a positive integer")
-        if not _is_int(self.precision) or self.precision < 8:
-            raise ValueError("precision must be an integer >= 8")
+        _check_int("k_max", self.k_max, 1)
+        _check_int("precision", self.precision, 8)
 
 
 @dataclass(frozen=True)
@@ -78,17 +76,6 @@ class RademacherResult:
     rounded: int
     distance_to_integer: HPReal
     k_max: int
-
-
-def _check_sign(sign: int) -> None:
-    if not _is_int(sign) or sign not in _SIGNS:
-        raise ValueError("sign must be +1 or -1")
-
-
-def _check_truncation(truncation, least: int) -> None:
-    if not _is_int(truncation) or truncation < least:
-        raise ValueError(f"truncation must be an int >= {least}, "
-                         f"got {truncation!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +142,8 @@ def oracle_table(ctx: PrimeContext, sign: int, n_max: int,
     product of (1 - sign*chi_a*x^(a+jp))^(-1) over all exponents a+jp <=
     n_max, with _fold; a seeded rng shuffles the fold order.
     """
-    _check_sign(sign)
-    if not _is_int(n_max) or n_max < 1:
-        raise ValueError("n_max must be a positive integer")
+    _check_choice("sign", sign, _SIGNS)
+    _check_int("n_max", n_max, 1)
     family = "Phi" if sign == 1 else "PhiDagger"
     values = _fold(_factors(ctx, family), n_max, rng)
     return SignedPartitionTable(ctx.p, sign, tuple(values))
@@ -170,10 +156,9 @@ def scan_vanishing(ctx: PrimeContext, sign: int, modulus: int,
     The oracle table is built once.  A residue only qualifies if the range
     actually contains members of its class; an empty class is no evidence.
     """
-    if not _is_int(modulus) or modulus < 1:
-        raise ValueError("modulus must be a positive integer")
-    if not (_is_int(n_min) and _is_int(n_max)) or n_min < 1 or n_max < n_min:
-        raise ValueError("need 1 <= n_min <= n_max")
+    _check_int("modulus", modulus, 1)
+    _check_int("n_min", n_min, 1)
+    _check_int("n_max", n_max, n_min)
     table = oracle_table(ctx, sign, n_max)
     seen = [False] * modulus
     alive = [True] * modulus
@@ -192,9 +177,8 @@ def sigma_coeffs(ctx: PrimeContext, sign: int, m_max: int) -> list:
     exponents are the factor table of S+ (sign +1) or S- (sign -1), expanded
     with _fold.
     """
-    _check_sign(sign)
-    if not _is_int(m_max) or m_max < 0:
-        raise ValueError("m_max must be a nonnegative integer")
+    _check_choice("sign", sign, _SIGNS)
+    _check_int("m_max", m_max, 0)
     return _fold(_factors(ctx, "S+" if sign == 1 else "S-"), m_max)
 
 
@@ -244,7 +228,7 @@ def q_pochhammer(z, q, truncation: int) -> HPComplex:
 
     Needs |q| < 1; see q_pochhammer_tail for the matching tail bound.
     """
-    _check_truncation(truncation, 0)
+    _check_int("truncation", truncation, 0)
     prec = _carried_prec(z, q)
     with mp.workprec(prec + 16):
         zz, qq = _as_mpc(z), _as_mpc(q)
@@ -257,7 +241,7 @@ def q_pochhammer(z, q, truncation: int) -> HPComplex:
 
 def q_pochhammer_tail(z, q, truncation: int) -> HPReal:
     """Relative error bound matching q_pochhammer at the same arguments."""
-    _check_truncation(truncation, 0)
+    _check_int("truncation", truncation, 0)
     prec = _carried_prec(z, q)
     with mp.workprec(prec + 16):
         zz, qq = _as_mpc(z), _as_mpc(q)
@@ -320,9 +304,8 @@ def theta_products(ctx: PrimeContext, family: str, x,
     sign-alternating class products, Phi and PhiDagger the two full
     generating functions.  Requires |x| < 1.
     """
-    if family not in THETA_FAMILIES:
-        raise ValueError(f"unknown product family: {family}")
-    _check_truncation(truncation, 1)
+    _check_choice("family", family, THETA_FAMILIES)
+    _check_int("truncation", truncation, 1)
     prec = _carried_prec(x)
     with mp.workprec(prec + 24):
         xx = _as_mpc(x)
@@ -357,11 +340,11 @@ def verify_functional_equation(ctx: PrimeContext, case: str, h: int, k: int,
     appears.  Raises InconclusiveError when the combined truncation tail is
     too large for the comparison to mean anything at this precision.
     """
-    if case not in FEQ_CASES:
-        raise ValueError(f"unknown case tag: {case}")
-    _check_variant(variant)
-    _check_pair(h, k)
-    _check_truncation(truncation, 1)
+    _check_choice("case", case, FEQ_CASES)
+    _check_choice("variant", variant, VARIANTS)
+    _check_int("h", h)
+    _check_int("k", k, 1)
+    _check_int("truncation", truncation, 1)
     if not (0 < h <= k):
         raise ValueError("need 0 < h <= k")
     if math.gcd(h, k) != 1:
@@ -386,29 +369,22 @@ def verify_functional_equation(ctx: PrimeContext, case: str, h: int, k: int,
         lhs_family = "Phi" if variant == "plain" else "PhiDagger"
         lhs, lhs_tail = _theta_value(ctx, lhs_family, xx, truncation)
 
-        pref = mp.pi * q / (6 * k)
-        lam = mp.mpf(1)
-        if case == "2p":
-            hbar = pow(h, -1, k)
-            xt = mp.expjpi(mp.mpf(-2 * hbar) / k) * mp.exp(-2 * mp.pi / (k * zz))
-            psi = pref * (-1 / zz + zz)
-        elif case == "p":
-            inv2h = pow(2 * h, -1, k)
-            xt = mp.expjpi(mp.mpf(-2 * inv2h) / k) * mp.exp(-mp.pi / (k * zz))
-            coef = Fraction(3, q) * sgn * (1 - Fraction(ctx.chi[2], 4)) * ctx.b2
-            psi = pref * ((to_mpf(coef) - mp.mpf(1) / 4) / zz + zz)
-        elif case == "2":
-            K = k * p
-            Hbar = pow(h * p % k, -1, k)
-            xt = mp.expjpi(mp.mpf(-2 * Hbar) / k) * mp.exp(-2 * mp.pi / (K * zz))
-            psi = pref * (mp.mpf(1) / p / zz + zz)
-            lam = lambda_k(ctx, k, variant, prec + 32).value
+        # Three facts of the case: even k inverts h at 2 pi and odd k 2h at
+        # pi (m = 1 or 2); the modulus K is k when p | k, else kp with the
+        # weight lambda_k; and c is the 1/z coefficient of psi.
+        m = 1 if k % 2 == 0 else 2
+        if k % p:
+            K, lam = k * p, lambda_k(ctx, k, variant, prec + 32).value
+            c = mp.mpf(1) / (m * m * p)
         else:
-            K = k * p
-            inv2H = pow(2 * h * p % k, -1, k) if k > 1 else 0
-            xt = mp.expjpi(mp.mpf(-2 * inv2H) / k) * mp.exp(-mp.pi / (K * zz))
-            psi = pref * (mp.mpf(1) / (4 * p) / zz + zz)
-            lam = lambda_k(ctx, k, variant, prec + 32).value
+            K, lam = k, mp.mpf(1)
+            c = -mp.mpf(1) / (m * m)
+            if m == 2:
+                c += to_mpf(Fraction(3, q) * sgn * ctx.b2
+                            * (1 - Fraction(ctx.chi[2], 4)))
+        inv = pow(m * h * (K // k), -1, k)
+        xt = mp.expjpi(mp.mpf(-2 * inv) / k) * mp.exp(-2 * mp.pi / (m * K * zz))
+        psi = mp.pi * q / (6 * k) * (c / zz + zz)
         if abs(xt) >= 1:
             raise ValueError("the transformed point must satisfy |x~| < 1")
 
@@ -545,11 +521,9 @@ def rademacher_eval(ctx: PrimeContext, sign: int, n: int,
     the i.  Without the factor the partial sums converge to the oracle
     values divided by 2*pi; with it they round to the exact integers.
     """
-    _check_sign(sign)
-    if ctx.p not in (5, 13, 17):
-        raise ValueError("series evaluation is scoped to p in {5, 13, 17}")
-    if not _is_int(n) or n < 1:
-        raise ValueError("n must be a positive integer")
+    _check_choice("sign", sign, _SIGNS)
+    _check_choice("ctx.p", ctx.p, (5, 13, 17))
+    _check_int("n", n, 1)
     variant = "plain" if sign == 1 else "dagger"
     p, k_max = ctx.p, cfg.k_max
     prec = cfg.precision

@@ -393,6 +393,14 @@ def test_tau_table_reports():
         assert rep["checks"] > 0
 
 
+def test_tau_table_rejects_vacuous_bounds():
+    # a bound below p checks no K, which must not read as a pass
+    for K_max in (True, 16, 51.0):
+        with pytest.raises(ValueError, match="K_max"):
+            verify_tau_table(C17, K_max)
+    assert verify_tau_table(C17, 17)["checks"] > 0
+
+
 def test_congruence_mod16_examples():
     assert check_congruence_mod16(C17, 1, 17, "plain")
     assert check_congruence_mod16(C17, 5, 51, "plain")

@@ -4,6 +4,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from legpart.charsums import lambda_exponent
 from legpart.context import make_context
 from legpart.dedekind import (
@@ -169,11 +171,36 @@ def test_s_tilde_parity_grid():
 
 def test_s_tilde_rejects_bad_input():
     ctx = make_context(5)
-    import pytest
     with pytest.raises(ValueError):
         dedekind_s_tilde(ctx, 1, 1)
     with pytest.raises(ValueError):
         dedekind_s_tilde(ctx, 2, 4)
+
+
+def test_entry_points_reject_bools_and_floats():
+    # each int argument refuses a bool or a float, and the error names it
+    ctx = make_context(17)
+    calls = [
+        ("h", lambda v: dedekind_s(v, 3)),
+        ("k", lambda v: dedekind_s(1, v)),
+        ("h", lambda v: dedekind_t(v, 3)),
+        ("k", lambda v: dedekind_t(1, v)),
+        ("h", lambda v: dedekind_s_chi(ctx, v, 3)),
+        ("k", lambda v: dedekind_s_chi(ctx, 1, v)),
+        ("h", lambda v: dedekind_t_chi(ctx, v, 3)),
+        ("k", lambda v: dedekind_t_chi(ctx, 1, v)),
+        ("a", lambda v: dedekind_s_tilde(ctx, v, 3)),
+        ("b", lambda v: dedekind_s_tilde(ctx, 1, v)),
+        ("a", lambda v: lattice_floor_sum(ctx, v, 0)),
+        ("h", lambda v: verify_reciprocity_classical(v, 3)),
+        ("k", lambda v: verify_reciprocity_classical(2, v)),
+        ("h", lambda v: verify_reciprocity_chi(ctx, v, 3)),
+        ("k", lambda v: verify_reciprocity_chi(ctx, 2, v)),
+    ]
+    for name, call in calls:
+        for v in (True, 2.5, 3.0):
+            with pytest.raises(ValueError, match=f"^{name} must be an int"):
+                call(v)
 
 
 def test_lattice_sum_residue_law():

@@ -1,16 +1,14 @@
 """Oracle, product, transformation and series-evaluation tests."""
 
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
-import legpart.arith
-import legpart.charsums
-import legpart.context
-import legpart.dedekind
-import legpart.series
+import legpart
 from legpart.arith import HPComplex, HPReal, cyclo_to_complex
 from legpart.charsums import (_chi_class, _twisted_phases,
                               kloosterman_dagger, kloosterman_L,
@@ -121,7 +119,7 @@ def test_oracle_rejects_bad_input():
     with pytest.raises(ValueError):
         oracle_table(C5, 1, 0)
     # bools and floats are not signs or counts
-    for args in ((True, 6), (1, True), (-1, 6.0)):
+    for args in ((True, 6), (1.0, 6), (1, True), (-1, 6.0)):
         with pytest.raises(ValueError):
             oracle_table(C5, *args)
         with pytest.raises(ValueError):
@@ -525,8 +523,9 @@ def test_rademacher_rejects_out_of_scope():
         rademacher_eval(C17, 1, 0, cfg)
     with pytest.raises(ValueError):
         rademacher_eval(C17, 2, 5, cfg)
-    with pytest.raises(ValueError):
-        rademacher_eval(C17, True, 5, cfg)
+    for sign in (True, 1.0, mp.mpf(1)):
+        with pytest.raises(ValueError, match="sign"):
+            rademacher_eval(C17, sign, 5, cfg)
     for n in (True, False):
         with pytest.raises(ValueError):
             rademacher_eval(C17, 1, n, cfg)
@@ -620,9 +619,10 @@ def test_numeric_sums_are_real():
 
 
 def test_series_path_caches_are_bounded():
+    # every legpart module, so that a cache added anywhere is held to a bound
     found = set()
-    for mod in (legpart.series, legpart.charsums, legpart.dedekind,
-                legpart.context, legpart.arith):
+    for info in pkgutil.iter_modules(legpart.__path__):
+        mod = importlib.import_module(f"legpart.{info.name}")
         for name, obj in vars(mod).items():
             if (hasattr(obj, "cache_parameters")
                     and obj.__module__ == mod.__name__):
