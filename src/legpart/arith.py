@@ -37,8 +37,6 @@ __all__ = [
     "cyclo_neg",
     "cyclo_is_zero",
     "cyclo_to_complex",
-    "cyclotomic_polynomial",
-    "reduce_mod_cyclotomic",
 ]
 
 # Largest root-of-unity order handled symbolically; it bounds the length of
@@ -234,12 +232,16 @@ def cyclo_from_phases(phases, weights=None) -> CyclotomicSum:
     """Exact sum of weights[i] * exp(i pi phases[i]); phases in half turns.
 
     The order is twice the lcm of the phase denominators (always even).
-    Raises OrderCapError if that exceeds DEFAULT_ORDER_CAP.
+    Raises OrderCapError if that exceeds DEFAULT_ORDER_CAP, and ValueError
+    for a weight that is not an int, so the sum stays over the integers.
     """
     phases = [Fraction(ph) % 2 for ph in phases]
     if weights is None:
         weights = [1] * len(phases)
-    weights = list(weights)
+    else:
+        weights = list(weights)
+        for w in weights:
+            _check_int("weight", w)
     if len(weights) != len(phases):
         raise ValueError("phases and weights must have equal length")
     den = 1
@@ -288,15 +290,6 @@ def _prime_factors(m: int) -> tuple:
     return tuple(out)
 
 
-def _mobius(m: int) -> int:
-    mu = 1
-    for _, e in _prime_factors(m):
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
-
-
 def cyclo_is_zero(s: CyclotomicSum) -> bool:
     """Exact zero test over the integers.
 
@@ -308,8 +301,8 @@ def cyclo_is_zero(s: CyclotomicSum) -> bool:
     many and linearly independent, so the sum vanishes iff every remaining
     coefficient is zero.  This is the same decision as reducing the
     coefficient polynomial mod the M-th cyclotomic polynomial (see
-    reduce_mod_cyclotomic, which the tests cross-check against), just
-    without the quadratic-cost long division.
+    reduce_mod_cyclotomic in tests/test_arith.py, the oracle the tests
+    cross-check it against), just without the quadratic-cost long division.
     """
     M = s.order
     c = list(s.coeffs)
@@ -332,74 +325,6 @@ def cyclo_is_zero(s: CyclotomicSum) -> bool:
                 c[j - half] -= c[j]
                 c[j] = 0
     return not any(c)
-
-
-# One entry per order M, each phi(M) + 1 coefficients; in the package only
-# the cross-check reduce_mod_cyclotomic asks.  The whole test suite in one
-# process holds 16, so 64 never evicts there.
-@lru_cache(maxsize=64)
-def cyclotomic_polynomial(M: int) -> tuple:
-    """Coefficients of Phi_M(x), constant term first.
-
-    Computed by the divisor product Phi_M(x) = prod_{d | M} (x^d - 1)^mu(M/d):
-    multiply out the mu = +1 factors, then divide the mu = -1 ones back out
-    exactly.
-    """
-    _check_int("M", M, 1)
-    poly = [1]
-    negs = []
-    for d in range(1, M + 1):
-        if M % d:
-            continue
-        mu = _mobius(M // d)
-        if mu == 1:
-            poly = _mul_xd_minus_1(poly, d)
-        elif mu == -1:
-            negs.append(d)
-    for d in negs:
-        poly = _div_xd_minus_1(poly, d)
-    return tuple(poly)
-
-
-def _mul_xd_minus_1(poly, d):
-    out = [0] * (len(poly) + d)
-    for i, v in enumerate(poly):
-        if v:
-            out[i] -= v
-            out[i + d] += v
-    return out
-
-
-def _div_xd_minus_1(poly, d):
-    # exact division by x^d - 1; the remainder is asserted away
-    n = len(poly) - 1
-    q = [0] * (n - d + 1)
-    for j in range(n, d - 1, -1):
-        q[j - d] = poly[j] + (q[j] if j <= n - d else 0)
-    for j in range(d):
-        want = -(q[j] if j <= n - d else 0)
-        if poly[j] != want:
-            raise ArithmeticError("division by x^d - 1 left a remainder")
-    return q
-
-
-def reduce_mod_cyclotomic(s: CyclotomicSum) -> tuple:
-    """Remainder of the coefficient polynomial mod Phi_order(x) (long division).
-
-    Slow but independent route to the same decision as cyclo_is_zero; kept
-    for cross-validation.
-    """
-    phi = cyclotomic_polynomial(s.order)
-    dphi = len(phi) - 1
-    r = list(s.coeffs)
-    for i in range(len(r) - 1, dphi - 1, -1):
-        lead = r[i]
-        if lead:
-            base = i - dphi
-            for t in range(dphi + 1):
-                r[base + t] -= lead * phi[t]
-    del r[dphi:]
-    return tuple(r)
 
 
 def cyclo_to_complex(s: CyclotomicSum, prec: int | None = None) -> HPComplex:

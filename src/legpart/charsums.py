@@ -30,8 +30,10 @@ from .arith import (
     _check_int,
     _precision,
     cyclo_from_phases,
+    cyclo_is_zero,
 )
-from .context import PrimeContext, make_context, norm_mod
+from .context import (PrimeContext, _csc_product, make_context, norm_mod,
+                      power_class)
 from .dedekind import dedekind_s, dedekind_s_chi
 
 __all__ = [
@@ -77,8 +79,6 @@ class KloostermanSum:
     params: tuple
 
     def is_zero(self) -> bool:
-        from .arith import cyclo_is_zero
-
         return cyclo_is_zero(self.sum)
 
 
@@ -88,27 +88,28 @@ class TauCount:
     class_pair: str
 
 
-def _units(k: int) -> tuple:
-    # invertible residues mod k; the k=1 wheel has the single spoke h=0
-    return tuple(h for h in range(k) if math.gcd(h, k) == 1) or (0,)
-
-
-# One entry per (prime, unit h, modulus k): 21,588 for one series at p = 17
-# and k_max = 222, 9,940 after the series_deep benchmark, 24,916 after the
-# whole test suite in one process, so 32768 never evicts there.  A deeper
-# series that does evict pays only when it first builds a phase vector,
-# which series.py caches per modulus.  The exact sums are not cached, so
-# each one reads its phases from here again.
-@lru_cache(maxsize=32768)
-def _lambda_parts(p: int, h: int, k: int) -> tuple:
-    """The finished phases (plain, dagger) of h/k, by the formulas in
-    lambda_exponent."""
+# One row per (prime, modulus k), shared by both signs: 267 for one series at
+# p = 17 and k_max = 222, 181 after the series_deep benchmark, 384 after the
+# whole test suite in one process, so 2048, the size of series._phase_vector,
+# never evicts there.  The exact sums are not cached, so each one reads its
+# phases from here again.
+@lru_cache(maxsize=2048)
+def _lambda_parts(p: int, k: int) -> tuple:
+    """The finished phases (plain, dagger) of every h mod k, by the formulas
+    in lambda_exponent, with None where h is not a unit.  gcd(0, 1) = 1, so
+    the k=1 row is the single spoke h=0."""
     ctx = make_context(p)
-    s1 = dedekind_s_chi(ctx, h, k)
-    s2 = dedekind_s_chi(ctx, 2 * h, k)
-    tail = dedekind_s(2 * h, k) - dedekind_s(2 * h * p, k)
     half = Fraction(1, 2)
-    return s1 - half * s2 + half * tail, half * s2 - s1 + half * tail
+    row = []
+    for h in range(k):
+        if math.gcd(h, k) != 1:
+            row.append(None)
+            continue
+        s1 = dedekind_s_chi(ctx, h, k)
+        s2 = dedekind_s_chi(ctx, 2 * h, k)
+        tail = dedekind_s(2 * h, k) - dedekind_s(2 * h * p, k)
+        row.append((s1 - half * s2 + half * tail, half * s2 - s1 + half * tail))
+    return tuple(row)
 
 
 def lambda_exponent(ctx: PrimeContext, h: int, k: int,
@@ -123,8 +124,8 @@ def lambda_exponent(ctx: PrimeContext, h: int, k: int,
     _check_int("k", k, 1)
     if math.gcd(h, k) != 1:
         raise ValueError("h and k must be coprime")
-    plain, dagger = _lambda_parts(ctx.p, h % k, k)
-    return PhaseExponent(plain if variant == "plain" else dagger, variant)
+    parts = _lambda_parts(ctx.p, k)[h % k]
+    return PhaseExponent(parts[VARIANTS.index(variant)], variant)
 
 
 def _sawtooth_pair_sum(ctx: PrimeContext, members, h: int, k: int) -> Fraction:
@@ -190,9 +191,7 @@ def lambda_k(ctx: PrimeContext, k: int, variant: str = "plain",
     else:
         main, other = ctx.s_set, ctx.r_set
     with mp.workprec(prec):
-        value = mp.mpf(2) ** (-(p - 1) // 4)
-        for a in main:
-            value /= mp.sinpi(mp.mpf(norm_mod(kbar * a, p)) / p)
+        value = _csc_product(p, [norm_mod(kbar * a, p) for a in main])
         if k % 2 == 0:
             for a in other:
                 value *= (mp.sinpi(mp.mpf(norm_mod(kbar * a, p)) / p) /
@@ -216,12 +215,12 @@ def _twisted_phases(p: int, variant: str, k: int, m: int,
     formed when m = 0 (mod k), which also covers the k=1 spoke h=0.  The
     exact sums here and the fixed-point ones of the series both read it.
     """
-    ctx = make_context(p)
+    at = VARIANTS.index(variant)
     m %= k
-    for h in _units(k):
-        if residues is not None and h % p not in residues:
+    for h, parts in enumerate(_lambda_parts(p, k)):
+        if parts is None or residues is not None and h % p not in residues:
             continue
-        phase = lambda_exponent(ctx, h, k, variant).value
+        phase = parts[at]
         if m:
             inv = pow(h if k % 2 == 0 else 2 * h, -1, k)
             phase -= Fraction(2 * (m * inv % k), k)
@@ -422,7 +421,7 @@ def verify_tau_table(ctx: PrimeContext, K_max: int) -> dict:
         for h in range(1, K):
             if math.gcd(h, K) != 1:
                 continue
-            j = ctx.dlog[h % ctx.p] % 4
+            j = power_class(ctx, h)
             for pair in TAU_PAIRS:
                 got = tau_count(ctx, h, K, pair).count % 2
                 want = expected[(j, pair)]

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .arith import HPReal, _precision, _prime_factors
+from .arith import HPReal, _check_int, _precision, _prime_factors
 
 __all__ = [
     "PrimeContext",
@@ -24,8 +24,6 @@ __all__ = [
     "legendre",
     "power_class",
     "quartic_class",
-    "b1_chi",
-    "scaled_bernoulli2",
     "norm_mod",
     "q_constants",
 ]
@@ -139,11 +137,13 @@ def make_context(p: int) -> PrimeContext:
 
 def legendre(ctx: PrimeContext, a: int) -> int:
     """Legendre symbol (a|p), zero on multiples of p."""
+    _check_int("a", a)
     return ctx.chi[a % ctx.p]
 
 
 def power_class(ctx: PrimeContext, a: int) -> int:
     """Index j in 0..3 with a = g^(4k+j) mod p; needs p !| a."""
+    _check_int("a", a)
     a = a % ctx.p
     if a == 0:
         raise ValueError("a must be coprime to p")
@@ -153,6 +153,7 @@ def power_class(ctx: PrimeContext, a: int) -> int:
 def quartic_class(ctx: PrimeContext, a: int) -> str:
     """Classify a mod p as quartic / quadratic-nonquartic / nonquadratic,
     or zero on multiples of p."""
+    _check_int("a", a)
     if a % ctx.p == 0:
         return "zero"
     j = power_class(ctx, a)
@@ -163,43 +164,27 @@ def quartic_class(ctx: PrimeContext, a: int) -> str:
     return "nonquadratic"
 
 
-def b1_chi(ctx: PrimeContext, y) -> Fraction:
-    """Twisted first Bernoulli function: sum over 0 <= n < y of -chi[n],
-    corrected by chi[y]/2 at integers; p-periodic and odd away from integers.
-
-    Evaluated in O(1) from the cumulative character table.
-    """
-    y = Fraction(y) % ctx.p
-    fl = y.numerator // y.denominator
-    out = Fraction(-ctx.chi_cumsum[fl])
-    if y.denominator == 1:
-        out += Fraction(ctx.chi[fl % ctx.p], 2)
-    return out
-
-
-def scaled_bernoulli2(ctx: PrimeContext, a: int) -> int:
-    """6 {a}_p^2 - 6 p {a}_p + p^2, i.e. 6 p^2 B_2({a}_p / p)."""
-    m = a % ctx.p
-    return 6 * m * m - 6 * ctx.p * m + ctx.p * ctx.p
-
-
 def norm_mod(a: int, k: int) -> int:
     """Distance from a to the nearest multiple of k (so at most k/2)."""
     r = a % k
     return min(r, k - r)
 
 
+def _csc_product(p: int, residues):
+    """2^(-(p-1)/4) prod csc(pi a / p) over a in residues, as an mpf at the
+    working precision: the scale, then one division per residue in order."""
+    value = mp.mpf(2) ** (-(p - 1) // 4)
+    for a in residues:
+        value /= mp.sinpi(mp.mpf(a) / p)
+    return value
+
+
 def q_constants(ctx: PrimeContext, prec: int | None = None) -> QConstants:
     """Cosecant products 2^(-(p-1)/4) prod csc(pi a / p) over each class."""
     prec = _precision(prec)
     with mp.workprec(prec + 16):
-        scale = mp.mpf(2) ** (-(ctx.p - 1) // 4)
-        qr = scale
-        for r in ctx.r_set:
-            qr *= 1 / mp.sinpi(mp.mpf(r) / ctx.p)
-        qs = scale
-        for s in ctx.s_set:
-            qs *= 1 / mp.sinpi(mp.mpf(s) / ctx.p)
+        qr = _csc_product(ctx.p, ctx.r_set)
+        qs = _csc_product(ctx.p, ctx.s_set)
         qbig = (qr / qs) ** 2
         with mp.workprec(prec):
             qr, qs, qbig = +qr, +qs, +qbig

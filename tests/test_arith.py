@@ -10,6 +10,7 @@ from legpart.arith import (
     DEFAULT_ORDER_CAP,
     CyclotomicSum,
     OrderCapError,
+    _prime_factors,
     bessel_i1,
     cyclo_add,
     cyclo_add_phase,
@@ -18,11 +19,81 @@ from legpart.arith import (
     cyclo_neg,
     cyclo_to_complex,
     cyclo_zero,
-    cyclotomic_polynomial,
     default_precision,
-    reduce_mod_cyclotomic,
     sawtooth,
 )
+
+
+def _mobius(m: int) -> int:
+    mu = 1
+    for _, e in _prime_factors(m):
+        if e > 1:
+            return 0
+        mu = -mu
+    return mu
+
+
+def cyclotomic_polynomial(M: int) -> tuple:
+    """Coefficients of Phi_M(x), constant term first.
+
+    Computed by the divisor product Phi_M(x) = prod_{d | M} (x^d - 1)^mu(M/d):
+    multiply out the mu = +1 factors, then divide the mu = -1 ones back out
+    exactly.
+    """
+    poly = [1]
+    negs = []
+    for d in range(1, M + 1):
+        if M % d:
+            continue
+        mu = _mobius(M // d)
+        if mu == 1:
+            poly = _mul_xd_minus_1(poly, d)
+        elif mu == -1:
+            negs.append(d)
+    for d in negs:
+        poly = _div_xd_minus_1(poly, d)
+    return tuple(poly)
+
+
+def _mul_xd_minus_1(poly, d):
+    out = [0] * (len(poly) + d)
+    for i, v in enumerate(poly):
+        if v:
+            out[i] -= v
+            out[i + d] += v
+    return out
+
+
+def _div_xd_minus_1(poly, d):
+    # exact division by x^d - 1; the remainder is asserted away
+    n = len(poly) - 1
+    q = [0] * (n - d + 1)
+    for j in range(n, d - 1, -1):
+        q[j - d] = poly[j] + (q[j] if j <= n - d else 0)
+    for j in range(d):
+        want = -(q[j] if j <= n - d else 0)
+        if poly[j] != want:
+            raise ArithmeticError("division by x^d - 1 left a remainder")
+    return q
+
+
+def reduce_mod_cyclotomic(s: CyclotomicSum) -> tuple:
+    """Remainder of the coefficient polynomial mod Phi_order(x) (long division).
+
+    Slow but independent route to the same decision as cyclo_is_zero; the
+    oracle the zero test is cross-checked against.
+    """
+    phi = cyclotomic_polynomial(s.order)
+    dphi = len(phi) - 1
+    r = list(s.coeffs)
+    for i in range(len(r) - 1, dphi - 1, -1):
+        lead = r[i]
+        if lead:
+            base = i - dphi
+            for t in range(dphi + 1):
+                r[base + t] -= lead * phi[t]
+    del r[dphi:]
+    return tuple(r)
 
 
 def test_sawtooth_pinned_values():
@@ -55,6 +126,18 @@ def test_cyclo_add_phase_examples():
     assert cyclo_is_zero(acc)
     full = cyclo_from_phases([Fraction(2 * j, 17) for j in range(17)])
     assert cyclo_is_zero(full)
+
+
+def test_weights_must_be_ints():
+    # a float weight would leave the zero test deciding on floats
+    one = cyclo_from_phases([0])
+    for w in (2.5, 1.0, True, Fraction(1), "1"):
+        with pytest.raises(ValueError):
+            cyclo_from_phases([0], [w])
+        with pytest.raises(ValueError):
+            cyclo_add_phase(one, 1, w)
+    assert cyclo_is_zero(cyclo_add_phase(one, 0, -1))
+    assert cyclo_from_phases([0, 1], [3, -2]).coeffs == (5, 0)
 
 
 def test_cyclo_is_zero_examples():

@@ -9,8 +9,11 @@ import pytest
 
 from legpart.arith import (cyclo_add, cyclo_from_phases, cyclo_is_zero,
                            cyclo_neg, cyclo_to_complex, sawtooth)
+import legpart.charsums
 from legpart.charsums import (
+    _lambda_parts,
     _sawtooth_pair_sum,
+    _twisted_phases,
     check_congruence_mod16,
     check_congruence_modThK,
     kloosterman_L,
@@ -24,6 +27,7 @@ from legpart.charsums import (
     verify_tau_table,
 )
 from legpart.context import make_context, q_constants
+from legpart.dedekind import dedekind_s, dedekind_s_chi
 
 C5 = make_context(5)
 C13 = make_context(13)
@@ -48,6 +52,43 @@ def test_lambda_exponent_rejects():
     for h, k in ((True, 3), (1, True), (1.0, 3), (1, 3.0)):
         with pytest.raises(ValueError):
             lambda_exponent(C17, h, k)
+
+
+def _literal_lambda_parts(ctx, h, k):
+    """The phases (plain, dagger) of one unit h/k by the formulas in
+    lambda_exponent: the oracle for the per-modulus rows."""
+    s1 = dedekind_s_chi(ctx, h, k)
+    s2 = dedekind_s_chi(ctx, 2 * h, k)
+    tail = dedekind_s(2 * h, k) - dedekind_s(2 * h * ctx.p, k)
+    half = Fraction(1, 2)
+    return s1 - half * s2 + half * tail, half * s2 - s1 + half * tail
+
+
+def test_lambda_parts_rows_match_per_unit_formula(monkeypatch):
+    for ctx in (C5, C13, C17):
+        p = ctx.p
+        for k in [*range(1, 41), 3 * p, 4 * p, 5 * p]:
+            row = _lambda_parts(p, k)
+            assert len(row) == k
+            for h, parts in enumerate(row):
+                if math.gcd(h, k) != 1:
+                    assert parts is None, (p, h, k)
+                else:
+                    assert parts == _literal_lambda_parts(ctx, h, k), (p, h, k)
+    # the exact sums and the series' phase vectors read the rows, not the
+    # per-unit accessor
+    def refuse(*args, **kwargs):
+        raise AssertionError("lambda_exponent on the twisted-sum path")
+
+    monkeypatch.setattr(legpart.charsums, "lambda_exponent", refuse)
+    for k in (1, 2, 3, 12, 17, 51):
+        for variant in ("plain", "dagger"):
+            got = dict(_twisted_phases(17, variant, k, 0, None))
+            assert got == {h: parts[variant == "dagger"] % 2
+                           for h, parts in enumerate(_lambda_parts(17, k))
+                           if parts is not None}, (k, variant)
+    assert kloosterman_L_plus(C17, 51, 8, 2).is_zero()
+    assert not kloosterman_L(C17, 3, 1, "dagger").is_zero()
 
 
 def test_phi_root_examples():

@@ -6,15 +6,33 @@ import mpmath as mp
 import pytest
 
 from legpart.context import (
-    b1_chi,
     legendre,
     make_context,
     norm_mod,
     power_class,
     q_constants,
     quartic_class,
-    scaled_bernoulli2,
 )
+
+
+def b1_chi(ctx, y) -> Fraction:
+    """Twisted first Bernoulli function: sum over 0 <= n < y of -chi[n],
+    corrected by chi[y]/2 at integers; p-periodic and odd away from integers.
+
+    Evaluated in O(1) from the cumulative character table.
+    """
+    y = Fraction(y) % ctx.p
+    fl = y.numerator // y.denominator
+    out = Fraction(-ctx.chi_cumsum[fl])
+    if y.denominator == 1:
+        out += Fraction(ctx.chi[fl % ctx.p], 2)
+    return out
+
+
+def scaled_bernoulli2(ctx, a: int) -> int:
+    """6 {a}_p^2 - 6 p {a}_p + p^2, i.e. 6 p^2 B_2({a}_p / p)."""
+    m = a % ctx.p
+    return 6 * m * m - 6 * ctx.p * m + ctx.p * ctx.p
 
 
 def test_make_context_residue_sets():
@@ -168,3 +186,38 @@ def test_q_constants_closed_forms():
     for prec in (True, 4, 128.0):
         with pytest.raises(ValueError):
             q_constants(make_context(5), prec)
+
+
+def test_class_functions_reject_non_int():
+    c17 = make_context(17)
+    for a in (True, False, 2.5, 3.0, "3", Fraction(3)):
+        for fn in (legendre, power_class, quartic_class):
+            with pytest.raises(ValueError):
+                fn(c17, a)
+
+
+def _literal_q_constants(ctx, prec):
+    """The cosecant products as q_constants first computed them, multiplying
+    by each reciprocal: the oracle for the shared division loop."""
+    with mp.workprec(prec + 16):
+        scale = mp.mpf(2) ** (-(ctx.p - 1) // 4)
+        qr = scale
+        for r in ctx.r_set:
+            qr *= 1 / mp.sinpi(mp.mpf(r) / ctx.p)
+        qs = scale
+        for s in ctx.s_set:
+            qs *= 1 / mp.sinpi(mp.mpf(s) / ctx.p)
+        qbig = (qr / qs) ** 2
+        with mp.workprec(prec):
+            return +qr, +qs, +qbig
+
+
+def test_q_constants_match_literal_products_bitwise():
+    primes = (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97, 101)
+    for p in primes:
+        ctx = make_context(p)
+        for prec in (8, 24, 53, 64, 96, 128, 160, 256, 333):
+            qc = q_constants(ctx, prec)
+            want = _literal_q_constants(ctx, prec)
+            got = (qc.q_r.value, qc.q_s.value, qc.q_big.value)
+            assert [x._mpf_ for x in got] == [x._mpf_ for x in want], (p, prec)

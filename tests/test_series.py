@@ -630,5 +630,4 @@ def test_series_path_caches_are_bounded():
                 assert type(maxsize) is int and maxsize > 0, name
                 found.add(name)
     assert {"_phase_vector", "_root_table", "_weight", "_lambda_parts",
-            "_s_chi_weights", "make_context", "_prime_factors",
-            "cyclotomic_polynomial"} <= found
+            "_s_chi_weights", "make_context", "_prime_factors"} <= found
