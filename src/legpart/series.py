@@ -1,9 +1,13 @@
 """Exact generating-function oracle and the numeric series machinery.
 
 Each +-1 product family (Phi, PhiDagger, F/G, R+-, S+-) is written once,
-as a factor table in _factors.  The oracle side expands those tables in pure
-integer arithmetic, folding one geometric factor per admissible exponent
-into a dense array (oracle_table, sigma_coeffs).  The numeric side
+as a factor table in _factors.  The oracle side works in pure integer
+arithmetic.  sigma_coeffs folds one geometric factor per admissible
+exponent into a dense array (_fold), O(n^2) big-int additions.
+oracle_table writes Phi and PhiDagger as the theta quotient
+(x^p; x^p)_inf^q / prod_a J_a, whose factors have O(sqrt(n/p)) terms each
+(_theta_quotient), and takes that route or the fold, whichever its term
+lists say makes fewer additions.  The numeric side
 (q-Pochhammer and theta products from the same tables, transformation
 checks, series evaluation) runs on mpmath at a caller-chosen precision and
 reuses the exact phases from charsums.
@@ -17,6 +21,7 @@ sums of charsums are not on this path; the tests use them as its oracle.
 """
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,9 +118,12 @@ def _fold(factors: list, n_max: int, rng: random.Random | None = None) -> list:
     """Coefficients of x^0..x^n_max of the product over a factor table.
 
     Folds one geometric factor (1 - c*x^base)^(-1) at a time into a dense
-    integer array.  The result does not depend on the fold order; passing a
-    seeded rng shuffles the expanded factor list, which tests use to confirm
-    that.
+    integer array: n_max - base + 1 big-int additions per factor, O(n_max^2)
+    in all for a full table.  sigma_coeffs always takes this route, and
+    oracle_table whenever it costs no more additions than the theta
+    quotient.  The result does not depend on the fold order; passing a
+    seeded rng shuffles the expanded factor list, which tests use to
+    confirm that.
     """
     terms = [(base, c) for c, first, step in factors
              for base in range(first, n_max + 1, step)]
@@ -134,18 +142,171 @@ def _fold(factors: list, n_max: int, rng: random.Random | None = None) -> list:
     return values
 
 
+def _fold_adds(factors: list, n_max: int) -> int:
+    """Big-int additions _fold makes over factors: n_max - base + 1 for
+    each expanded base."""
+    return sum(n_max + 1 - base for _, first, step in factors
+               for base in range(first, n_max + 1, step))
+
+
+def _euler_terms(m_max: int) -> list:
+    """Nonconstant terms (e, c) of (y; y)_inf up to y^m_max, by Euler's
+    pentagonal theorem: sum over m in Z of (-1)^m y^(m(3m-1)/2)."""
+    terms = []
+    m = 1
+    while m * (3 * m - 1) // 2 <= m_max:
+        c = -1 if m % 2 else 1
+        terms += [(e, c) for e in (m * (3 * m - 1) // 2, m * (3 * m + 1) // 2)
+                  if e <= m_max]
+        m += 1
+    return terms
+
+
+def _jacobi_terms(p: int, a: int, signed: bool, n_max: int) -> list:
+    """Nonconstant terms (e, c) of J_a up to x^n_max, sorted by e.
+
+    J_a^-(x) = sum over n in Z of (-1)^n x^(p n(n-1)/2 + a n), which the
+    Jacobi triple product makes prod_j (1 - x^(pj+a))(1 - x^(p(j+1)-a))
+    (1 - x^(p(j+1))); J_a^+ (signed False) drops the (-1)^n, which flips the
+    first two signs.  n and 1 - n share p n(n-1)/2, and 0 < a < p keeps
+    every exponent distinct.
+    """
+    terms = []
+    n = 1
+    while p * n * (n - 1) // 2 - a * (n - 1) <= n_max:
+        tri = p * n * (n - 1) // 2
+        c = -1 if signed and n % 2 else 1
+        if tri + a * n <= n_max:
+            terms.append((tri + a * n, c))
+        if n > 1:
+            terms.append((tri - a * (n - 1), -c if signed else 1))
+        n += 1
+    return sorted(terms)
+
+
+def _theta_factors(ctx: PrimeContext, sign: int, n_max: int) -> tuple:
+    """The theta-quotient form of Phi (sign +1) or PhiDagger (sign -1).
+
+    Since chi(-1) = 1 the classes a and p - a pair up, and each pair's
+    factors are (x^p; x^p)_inf / J_a: J_a^- where sign*chi(a) = 1, J_a^+
+    otherwise, for a = 1..q.  Returns (euler, thetas): the terms of
+    (y; y)_inf in y = x^p, by which the table is multiplied q times, and
+    the term lists of the J_a to divide by.  Factors that are 1 modulo
+    x^(n_max+1) are left out: J_a for a > n_max, and (y; y)_inf (an empty
+    euler) when p > n_max.
+    """
+    return (_euler_terms(n_max // ctx.p),
+            [_jacobi_terms(ctx.p, a, sign * ctx.chi[a] == 1, n_max)
+             for a in range(1, min(ctx.q, n_max) + 1)])
+
+
+def _quotient_adds(ctx: PrimeContext, euler: list, thetas: list,
+                   n_max: int) -> int:
+    """Big-int additions _theta_quotient makes: n_max // p - e + 1 for each
+    euler term in each of the q multiplications, n_max - e + 1 for each
+    term of each J_a."""
+    top = n_max // ctx.p
+    return (ctx.q * sum(top + 1 - e for e, _ in euler)
+            + sum(n_max + 1 - e for terms in thetas for e, _ in terms))
+
+
+# A sliced pass over a list pays a fixed cost of a few additions, so the
+# terms of a J_a with exponents below this run element by element instead.
+_SLICE = 32
+
+
+def _divide(values: list, terms: list, n_max: int) -> None:
+    """values /= 1 + sum c*x^e in place, for terms sorted by e >= 1.
+
+    The exact recurrence w[i] = v[i] - sum c*w[i-e], n_max - e + 1 big-int
+    additions per term.  The near terms (e < _SLICE, and always the first)
+    run through each block in order; the block is as long as the first far
+    exponent, so each far term reads only finished entries and is one
+    sliced pass per block.
+    """
+    near = [t for t in terms if t[0] < _SLICE] or terms[:1]
+    far = terms[len(near):]
+    # runs[k]: the near terms in reach from near[k][0] on, split by sign
+    runs = [([e for e, c in near[:k + 1] if c == -1],
+             [e for e, c in near[:k + 1] if c == 1]) for k in range(len(near))]
+    starts = [e for e, _ in near] + [n_max + 1]
+    width = far[0][0] if far else n_max
+    for lo in range(starts[0], n_max + 1, width):
+        hi = min(lo + width, n_max + 1)
+        for e, c in far:
+            if e >= hi:
+                break
+            s = max(lo, e)
+            values[s:hi] = map(operator.sub if c == 1 else operator.add,
+                               values[s:hi], values[s - e:hi - e])
+        for (add, sub), s, t in zip(runs, starts, starts[1:]):
+            s, t = max(lo, s), min(hi, t)
+            if s >= t:
+                continue
+            if not add and len(sub) == 1:
+                e = sub[0]
+                for i in range(s, t):
+                    values[i] -= values[i - e]
+            elif not sub and len(add) == 1:
+                e = add[0]
+                for i in range(s, t):
+                    values[i] += values[i - e]
+            else:
+                for i in range(s, t):
+                    values[i] += (sum([values[i - e] for e in add])
+                                  - sum([values[i - e] for e in sub]))
+
+
+def _theta_quotient(ctx: PrimeContext, euler: list, thetas: list,
+                    n_max: int, rng: random.Random | None = None) -> list:
+    """Coefficients of x^0..x^n_max of (x^p; x^p)_inf^q / prod J_a.
+
+    The numerator is built in y = x^p, multiplying q times by euler, and
+    spread onto the multiples of p; each J_a, with constant term 1, is then
+    divided out by the exact recurrence w[i] = v[i] - sum c*w[i-e] over its
+    terms.  A seeded rng shuffles the order of the divisions.
+    """
+    p = ctx.p
+    top = [1] + [0] * (n_max // p)
+    for _ in range(ctx.q if euler else 0):
+        # descending i reads only entries not yet multiplied
+        for i in range(len(top) - 1, 0, -1):
+            top[i] += sum([c * top[i - e] for e, c in euler if e <= i])
+    values = [0] * (n_max + 1)
+    values[::p] = top
+    if rng is not None:
+        rng.shuffle(thetas)
+    for terms in thetas:
+        _divide(values, terms, n_max)
+    return values
+
+
 def oracle_table(ctx: PrimeContext, sign: int, n_max: int,
                  rng: random.Random | None = None) -> SignedPartitionTable:
     """Exact coefficients of the signed-partition generating function.
 
-    Expands the factor table of Phi (sign +1) or PhiDagger (sign -1), the
-    product of (1 - sign*chi_a*x^(a+jp))^(-1) over all exponents a+jp <=
-    n_max, with _fold; a seeded rng shuffles the fold order.
+    Phi (sign +1) or PhiDagger (sign -1) is the product of (1 -
+    sign*chi_a*x^(a+jp))^(-1) over all exponents a+jp <= n_max.  It is
+    expanded by whichever route makes fewer big-int additions, counted from
+    the term lists: the theta quotient (_theta_quotient), or the fold of
+    its factor table (_fold), which also takes ties.  Factors that are 1
+    modulo x^(n_max+1) are skipped on both.  A seeded rng shuffles the
+    order in which the factors are applied: the J_a divisions on the theta
+    route, the geometric factors on the fold; the table does not depend on
+    it.
     """
     _check_choice("sign", sign, _SIGNS)
     _check_int("n_max", n_max, 1)
+    if rng is not None and not isinstance(rng, random.Random):
+        raise ValueError(f"rng must be None or a random.Random, got {rng!r}")
     family = "Phi" if sign == 1 else "PhiDagger"
-    values = _fold(_factors(ctx, family), n_max, rng)
+    # a factor family whose first exponent is past n_max is 1 there
+    factors = [f for f in _factors(ctx, family) if f[1] <= n_max]
+    euler, thetas = _theta_factors(ctx, sign, n_max)
+    if _quotient_adds(ctx, euler, thetas, n_max) < _fold_adds(factors, n_max):
+        values = _theta_quotient(ctx, euler, thetas, n_max, rng)
+    else:
+        values = _fold(factors, n_max, rng)
     return SignedPartitionTable(ctx.p, sign, tuple(values))
 
 

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -46,6 +47,19 @@ def test_oracle_more_examples(capsys):
     doc = json.loads(out)
     assert doc["schema"] == 1
     assert doc["rows"][1] == [1, "1"]
+
+
+def test_oracle_csv_bytes_are_pinned(capsys):
+    """The exact CSV bytes of two large tables, as SHA-256."""
+    pinned = (("+", "1000", "12a21834309f783af37602ee9667209609df82c6"
+                            "f7ae151434c340e5f4c4fee8"),
+              ("-", "1700", "801563a780d1c6bd2c1df95830eff9972f0a0e18"
+                            "0bc47d040ceeb943ec58521e"))
+    for sign, n_max, digest in pinned:
+        rc, out = run_main(["oracle", "--p", "17", "--sign", sign,
+                            "--n-max", n_max], capsys)
+        assert rc == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 def test_oracle_round_trip():
