@@ -6,11 +6,9 @@ arithmetic.  sigma_coeffs folds one geometric factor per admissible
 exponent into a dense array (_fold), O(n^2) big-int additions.
 oracle_table writes Phi and PhiDagger as the theta quotient
 (x^p; x^p)_inf^q / prod_a J_a, whose factors have O(sqrt(n/p)) terms each
-(_theta_quotient), and takes that route or the fold, whichever its term
-lists say makes fewer additions.  The numeric side
-(q-Pochhammer and theta products from the same tables, transformation
-checks, series evaluation) runs on mpmath at a caller-chosen precision and
-reuses the exact phases from charsums.
+(_theta_quotient).  The numeric side (q-Pochhammer and theta products from
+the same tables, transformation checks, series evaluation) runs on mpmath
+at a caller-chosen precision and reuses the exact phases from charsums.
 
 The series evaluates its exponential sums per modulus k, not per (k, n):
 the phases z_h and the k-th roots of unity do not depend on n, so each is
@@ -114,21 +112,16 @@ def _factors(ctx: PrimeContext, family: str) -> list:
             + [(1, e, 2 * p) for a in odd_set for e in (p + 2 * a, p - 2 * a)])
 
 
-def _fold(factors: list, n_max: int, rng: random.Random | None = None) -> list:
+def _fold(factors: list, n_max: int) -> list:
     """Coefficients of x^0..x^n_max of the product over a factor table.
 
     Folds one geometric factor (1 - c*x^base)^(-1) at a time into a dense
     integer array: n_max - base + 1 big-int additions per factor, O(n_max^2)
-    in all for a full table.  sigma_coeffs always takes this route, and
-    oracle_table whenever it costs no more additions than the theta
-    quotient.  The result does not depend on the fold order; passing a
-    seeded rng shuffles the expanded factor list, which tests use to
-    confirm that.
+    in all for a full table.  sigma_coeffs takes this route, and the tests
+    use it as the literal oracle of oracle_table.
     """
     terms = [(base, c) for c, first, step in factors
              for base in range(first, n_max + 1, step)]
-    if rng is not None:
-        rng.shuffle(terms)
     values = [0] * (n_max + 1)
     values[0] = 1
     for base, c in terms:
@@ -140,13 +133,6 @@ def _fold(factors: list, n_max: int, rng: random.Random | None = None) -> list:
             for i in range(base, n_max + 1):
                 values[i] -= values[i - base]
     return values
-
-
-def _fold_adds(factors: list, n_max: int) -> int:
-    """Big-int additions _fold makes over factors: n_max - base + 1 for
-    each expanded base."""
-    return sum(n_max + 1 - base for _, first, step in factors
-               for base in range(first, n_max + 1, step))
 
 
 def _euler_terms(m_max: int) -> list:
@@ -182,32 +168,6 @@ def _jacobi_terms(p: int, a: int, signed: bool, n_max: int) -> list:
             terms.append((tri - a * (n - 1), -c if signed else 1))
         n += 1
     return sorted(terms)
-
-
-def _theta_factors(ctx: PrimeContext, sign: int, n_max: int) -> tuple:
-    """The theta-quotient form of Phi (sign +1) or PhiDagger (sign -1).
-
-    Since chi(-1) = 1 the classes a and p - a pair up, and each pair's
-    factors are (x^p; x^p)_inf / J_a: J_a^- where sign*chi(a) = 1, J_a^+
-    otherwise, for a = 1..q.  Returns (euler, thetas): the terms of
-    (y; y)_inf in y = x^p, by which the table is multiplied q times, and
-    the term lists of the J_a to divide by.  Factors that are 1 modulo
-    x^(n_max+1) are left out: J_a for a > n_max, and (y; y)_inf (an empty
-    euler) when p > n_max.
-    """
-    return (_euler_terms(n_max // ctx.p),
-            [_jacobi_terms(ctx.p, a, sign * ctx.chi[a] == 1, n_max)
-             for a in range(1, min(ctx.q, n_max) + 1)])
-
-
-def _quotient_adds(ctx: PrimeContext, euler: list, thetas: list,
-                   n_max: int) -> int:
-    """Big-int additions _theta_quotient makes: n_max // p - e + 1 for each
-    euler term in each of the q multiplications, n_max - e + 1 for each
-    term of each J_a."""
-    top = n_max // ctx.p
-    return (ctx.q * sum(top + 1 - e for e, _ in euler)
-            + sum(n_max + 1 - e for terms in thetas for e, _ in terms))
 
 
 # A sliced pass over a list pays a fixed cost of a few additions, so the
@@ -257,16 +217,24 @@ def _divide(values: list, terms: list, n_max: int) -> None:
                                   - sum([values[i - e] for e in sub]))
 
 
-def _theta_quotient(ctx: PrimeContext, euler: list, thetas: list,
-                    n_max: int, rng: random.Random | None = None) -> list:
-    """Coefficients of x^0..x^n_max of (x^p; x^p)_inf^q / prod J_a.
+def _theta_quotient(ctx: PrimeContext, sign: int, n_max: int,
+                    rng: random.Random | None = None) -> list:
+    """Coefficients of x^0..x^n_max of Phi (sign +1) or PhiDagger (sign -1)
+    as the theta quotient (x^p; x^p)_inf^q / prod_{a=1}^{q} J_a.
 
-    The numerator is built in y = x^p, multiplying q times by euler, and
-    spread onto the multiples of p; each J_a, with constant term 1, is then
-    divided out by the exact recurrence w[i] = v[i] - sum c*w[i-e] over its
-    terms.  A seeded rng shuffles the order of the divisions.
+    Since chi(-1) = 1 the classes a and p - a pair up, and the Jacobi triple
+    product makes each pair's factors (x^p; x^p)_inf / J_a: J_a^- where
+    sign*chi(a) = 1, J_a^+ otherwise.  The numerator is built in y = x^p,
+    multiplying q times by the Euler series, and spread onto the multiples
+    of p; each J_a, with constant term 1, is then divided out by the exact
+    recurrence w[i] = v[i] - sum c*w[i-e] over its terms.  Factors that are
+    1 modulo x^(n_max+1) are left out: J_a for a > n_max, and the numerator
+    when p > n_max.  A seeded rng shuffles the order of the divisions.
     """
     p = ctx.p
+    euler = _euler_terms(n_max // p)
+    thetas = [_jacobi_terms(p, a, sign * ctx.chi[a] == 1, n_max)
+              for a in range(1, min(ctx.q, n_max) + 1)]
     top = [1] + [0] * (n_max // p)
     for _ in range(ctx.q if euler else 0):
         # descending i reads only entries not yet multiplied
@@ -286,28 +254,16 @@ def oracle_table(ctx: PrimeContext, sign: int, n_max: int,
     """Exact coefficients of the signed-partition generating function.
 
     Phi (sign +1) or PhiDagger (sign -1) is the product of (1 -
-    sign*chi_a*x^(a+jp))^(-1) over all exponents a+jp <= n_max.  It is
-    expanded by whichever route makes fewer big-int additions, counted from
-    the term lists: the theta quotient (_theta_quotient), or the fold of
-    its factor table (_fold), which also takes ties.  Factors that are 1
-    modulo x^(n_max+1) are skipped on both.  A seeded rng shuffles the
-    order in which the factors are applied: the J_a divisions on the theta
-    route, the geometric factors on the fold; the table does not depend on
-    it.
+    sign*chi_a*x^(a+jp))^(-1) over all exponents a+jp <= n_max, expanded as
+    a theta quotient (_theta_quotient).  A seeded rng shuffles the order of
+    its J_a divisions; the table does not depend on it.
     """
     _check_choice("sign", sign, _SIGNS)
     _check_int("n_max", n_max, 1)
     if rng is not None and not isinstance(rng, random.Random):
         raise ValueError(f"rng must be None or a random.Random, got {rng!r}")
-    family = "Phi" if sign == 1 else "PhiDagger"
-    # a factor family whose first exponent is past n_max is 1 there
-    factors = [f for f in _factors(ctx, family) if f[1] <= n_max]
-    euler, thetas = _theta_factors(ctx, sign, n_max)
-    if _quotient_adds(ctx, euler, thetas, n_max) < _fold_adds(factors, n_max):
-        values = _theta_quotient(ctx, euler, thetas, n_max, rng)
-    else:
-        values = _fold(factors, n_max, rng)
-    return SignedPartitionTable(ctx.p, sign, tuple(values))
+    return SignedPartitionTable(ctx.p, sign,
+                                tuple(_theta_quotient(ctx, sign, n_max, rng)))
 
 
 def scan_vanishing(ctx: PrimeContext, sign: int, modulus: int,

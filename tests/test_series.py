@@ -9,7 +9,6 @@ import pytest
 from mpmath import mp
 
 import legpart
-from legpart import series
 from legpart.arith import HPComplex, HPReal, cyclo_to_complex
 from legpart.charsums import (_chi_class, _twisted_phases,
                               kloosterman_dagger, kloosterman_L,
@@ -17,13 +16,11 @@ from legpart.charsums import (_chi_class, _twisted_phases,
 from legpart.context import make_context
 from legpart.series import (FEQ_CASES, THETA_FAMILIES, InconclusiveError,
                             RademacherResult, SeriesEvalConfig, _euler_terms,
-                            _factors, _fold, _fold_adds, _jacobi_terms,
-                            _numeric_sum, _phase_vector, _quotient_adds,
-                            _theta_factors, _theta_pairs, _theta_quotient,
-                            c_sequence, oracle_table, q_pochhammer,
-                            q_pochhammer_tail, rademacher_eval,
-                            scan_vanishing, sigma_coeffs, theta_products,
-                            verify_functional_equation)
+                            _factors, _fold, _jacobi_terms, _numeric_sum,
+                            _phase_vector, _theta_pairs, c_sequence,
+                            oracle_table, q_pochhammer, q_pochhammer_tail,
+                            rademacher_eval, scan_vanishing, sigma_coeffs,
+                            theta_products, verify_functional_equation)
 
 C5 = make_context(5)
 C13 = make_context(13)
@@ -108,13 +105,23 @@ def _literal_oracle_values(ctx, sign, n_max):
     return tuple(values)
 
 
-@pytest.mark.parametrize("p", LITERAL_PRIMES)
+ORACLE_PRIMES = (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97)
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
 def test_oracle_matches_literal_factor_list(p):
+    """The theta quotient equals the literal fold at every n_max in 1..79,
+    at 400 and at 500, in the given and a shuffled order; the fold of the
+    factor table agrees at 500."""
     ctx = make_context(p)
     for sign in (1, -1):
-        want = _literal_oracle_values(ctx, sign, 400)
-        assert oracle_table(ctx, sign, 400).values == want
-        assert oracle_table(ctx, sign, 400, random.Random(p)).values == want
+        for n_max in list(range(1, 80)) + [400, 500]:
+            want = _literal_oracle_values(ctx, sign, n_max)
+            assert oracle_table(ctx, sign, n_max).values == want
+            assert (oracle_table(ctx, sign, n_max, random.Random(n_max))
+                    .values == want), (p, sign, n_max)
+        family = "Phi" if sign == 1 else "PhiDagger"
+        assert tuple(_fold(_factors(ctx, family), 500)) == want
 
 
 def _literal_product(factors, n_max):
@@ -156,66 +163,17 @@ def test_euler_terms_match_literal_product(p):
             == _literal_product(factors, n_max))
 
 
-ROUTE_PRIMES = (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97)
-
-
-@pytest.mark.parametrize("p", ROUTE_PRIMES)
-def test_oracle_routes_match_fold_and_literal(p):
-    """Both routes equal the literal fold at every n_max in 1..79 and at
-    500, whichever oracle_table picks, in the given and a shuffled order."""
-    ctx = make_context(p)
-    for sign in (1, -1):
-        family = "Phi" if sign == 1 else "PhiDagger"
-        for n_max in list(range(1, 80)) + [500]:
-            want = _literal_oracle_values(ctx, sign, n_max)
-            assert tuple(_fold(_factors(ctx, family), n_max)) == want
-            rng = random.Random(n_max)
-            assert oracle_table(ctx, sign, n_max).values == want
-            assert oracle_table(ctx, sign, n_max, rng).values == want
-            for order in (None, rng):
-                euler, thetas = _theta_factors(ctx, sign, n_max)
-                got = _theta_quotient(ctx, euler, thetas, n_max, order)
-                assert tuple(got) == want, (p, sign, n_max, order)
-
-
 @pytest.mark.parametrize("p", (1009, 10009))
-def test_oracle_large_prime_matches_fold_and_literal(p):
+def test_oracle_large_prime_matches_literal_factor_list(p):
     ctx = make_context(p)
     for sign in (1, -1):
-        family = "Phi" if sign == 1 else "PhiDagger"
         for n_max in (1, 50, 2000):
             want = _literal_oracle_values(ctx, sign, n_max)
-            assert tuple(_fold(_factors(ctx, family), n_max)) == want
             assert oracle_table(ctx, sign, n_max).values == want
             assert (oracle_table(ctx, sign, n_max, random.Random(p)).values
                     == want)
-
-
-def test_oracle_picks_the_route_with_fewer_additions(monkeypatch):
-    calls = []
-    for name in ("_fold", "_theta_quotient"):
-        real = getattr(series, name)
-        monkeypatch.setattr(series, name, lambda *args, real=real, name=name:
-                            calls.append(name) or real(*args))
-    picks = {"fold": [], "tie": [], "theta": []}
-    for p, n_max in ((5, 6), (13, 12), (17, 17), (17, 21), (17, 22), (41, 45),
-                     (1009, 2000), (10009, 50), (17, 1000)):
-        ctx = make_context(p)
-        for sign in (1, -1):
-            family = "Phi" if sign == 1 else "PhiDagger"
-            fold = _fold_adds(_factors(ctx, family), n_max)
-            theta = _quotient_adds(ctx, *_theta_factors(ctx, sign, n_max),
-                                   n_max)
-            kind = "theta" if theta < fold else "tie" if theta == fold else "fold"
-            picks[kind].append((p, n_max))
-            calls.clear()
-            oracle_table(ctx, sign, n_max)
-            assert calls == ["_theta_quotient" if kind == "theta" else "_fold"]
-    # the fold is picked where it is cheaper and on ties (n_max < p, where
-    # both make the same additions), the quotient where it is cheaper
-    assert (17, 17) in picks["fold"] and (41, 45) in picks["fold"]
-    assert (10009, 50) in picks["tie"] and (13, 12) in picks["tie"]
-    assert (17, 1000) in picks["theta"] and (1009, 2000) in picks["theta"]
+        family = "Phi" if sign == 1 else "PhiDagger"
+        assert tuple(_fold(_factors(ctx, family), 2000)) == want
 
 
 def test_oracle_rejects_bad_input():
