@@ -30,7 +30,6 @@ __all__ = [
     "bessel_i1",
     "OrderCapError",
     "CyclotomicSum",
-    "cyclo_zero",
     "cyclo_from_phases",
     "cyclo_add_phase",
     "cyclo_add",
@@ -208,11 +207,6 @@ def _canonical(order: int, pairs) -> CyclotomicSum:
                 c[j - half] -= c[j]
                 c[j] = 0
     return CyclotomicSum(order, tuple(c))
-
-
-def cyclo_zero(order: int = 2) -> CyclotomicSum:
-    _check_int("order", order, 1)
-    return CyclotomicSum(order, (0,) * order)
 
 
 def _phase_to_exponent(phase: Fraction, order: int) -> int:

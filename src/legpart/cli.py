@@ -47,31 +47,6 @@ def format_oracle_json(table) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
-def parse_oracle_csv(text: str) -> list:
-    lines = text.strip().split("\n")
-    if lines[0] != "n,value":
-        raise ValueError("missing n,value header")
-    out = []
-    for i, line in enumerate(lines[1:]):
-        n, v = line.split(",")
-        if int(n) != i:
-            raise ValueError(f"rows out of order at {n}")
-        out.append(int(v))
-    return out
-
-
-def parse_oracle_json(text: str) -> list:
-    doc = json.loads(text)
-    if doc.get("schema") != 1:
-        raise ValueError("unknown schema")
-    out = []
-    for i, (n, v) in enumerate(doc["rows"]):
-        if n != i:
-            raise ValueError(f"rows out of order at {n}")
-        out.append(int(v))
-    return out
-
-
 def format_scan_csv(rows) -> str:
     lines = ["p,vanishing_residues_mod_2p"]
     for p, residues in rows:

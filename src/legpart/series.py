@@ -2,13 +2,12 @@
 
 Each +-1 product family (Phi, PhiDagger, F/G, R+-, S+-) is written once,
 as a factor table in _factors.  The oracle side works in pure integer
-arithmetic.  sigma_coeffs folds one geometric factor per admissible
-exponent into a dense array (_fold), O(n^2) big-int additions.
-oracle_table writes Phi and PhiDagger as the theta quotient
-(x^p; x^p)_inf^q / prod_a J_a, whose factors have O(sqrt(n/p)) terms each
-(_theta_quotient).  The numeric side (q-Pochhammer and theta products from
-the same tables, transformation checks, series evaluation) runs on mpmath
-at a caller-chosen precision and reuses the exact phases from charsums.
+arithmetic: oracle_table (Phi, PhiDagger) and sigma_coeffs (S+-) expand
+their tables as the theta quotient (x^M; x^M)_inf^r / prod_a J_a, whose
+factors have O(sqrt(n/M)) terms each (_theta_quotient).  The numeric side
+(q-Pochhammer and theta products from the same tables, transformation
+checks, series evaluation) runs on mpmath at a caller-chosen precision and
+reuses the exact phases from charsums.
 
 The series evaluates its exponential sums per modulus k, not per (k, n):
 the phases z_h and the k-th roots of unity do not depend on n, so each is
@@ -112,29 +111,6 @@ def _factors(ctx: PrimeContext, family: str) -> list:
             + [(1, e, 2 * p) for a in odd_set for e in (p + 2 * a, p - 2 * a)])
 
 
-def _fold(factors: list, n_max: int) -> list:
-    """Coefficients of x^0..x^n_max of the product over a factor table.
-
-    Folds one geometric factor (1 - c*x^base)^(-1) at a time into a dense
-    integer array: n_max - base + 1 big-int additions per factor, O(n_max^2)
-    in all for a full table.  sigma_coeffs takes this route, and the tests
-    use it as the literal oracle of oracle_table.
-    """
-    terms = [(base, c) for c, first, step in factors
-             for base in range(first, n_max + 1, step)]
-    values = [0] * (n_max + 1)
-    values[0] = 1
-    for base, c in terms:
-        # values *= (1 - c x^base)^(-1), i.e. w[i] = v[i] + c*w[i-base]
-        if c == 1:
-            for i in range(base, n_max + 1):
-                values[i] += values[i - base]
-        else:
-            for i in range(base, n_max + 1):
-                values[i] -= values[i - base]
-    return values
-
-
 def _euler_terms(m_max: int) -> list:
     """Nonconstant terms (e, c) of (y; y)_inf up to y^m_max, by Euler's
     pentagonal theorem: sum over m in Z of (-1)^m y^(m(3m-1)/2)."""
@@ -148,19 +124,19 @@ def _euler_terms(m_max: int) -> list:
     return terms
 
 
-def _jacobi_terms(p: int, a: int, signed: bool, n_max: int) -> list:
+def _jacobi_terms(M: int, a: int, signed: bool, n_max: int) -> list:
     """Nonconstant terms (e, c) of J_a up to x^n_max, sorted by e.
 
-    J_a^-(x) = sum over n in Z of (-1)^n x^(p n(n-1)/2 + a n), which the
-    Jacobi triple product makes prod_j (1 - x^(pj+a))(1 - x^(p(j+1)-a))
-    (1 - x^(p(j+1))); J_a^+ (signed False) drops the (-1)^n, which flips the
-    first two signs.  n and 1 - n share p n(n-1)/2, and 0 < a < p keeps
-    every exponent distinct.
+    J_a^-(x) = sum over n in Z of (-1)^n x^(M n(n-1)/2 + a n), which the
+    Jacobi triple product makes prod_j (1 - x^(Mj+a))(1 - x^(M(j+1)-a))
+    (1 - x^(M(j+1))); J_a^+ (signed False) drops the (-1)^n, which flips the
+    first two signs.  n and 1 - n share M n(n-1)/2, and 0 < 2a < M keeps
+    every exponent distinct.  The modulus M is p for Phi and 2p for S+-.
     """
     terms = []
     n = 1
-    while p * n * (n - 1) // 2 - a * (n - 1) <= n_max:
-        tri = p * n * (n - 1) // 2
+    while M * n * (n - 1) // 2 - a * (n - 1) <= n_max:
+        tri = M * n * (n - 1) // 2
         c = -1 if signed and n % 2 else 1
         if tri + a * n <= n_max:
             terms.append((tri + a * n, c))
@@ -217,31 +193,33 @@ def _divide(values: list, terms: list, n_max: int) -> None:
                                   - sum([values[i - e] for e in sub]))
 
 
-def _theta_quotient(ctx: PrimeContext, sign: int, n_max: int,
+def _theta_quotient(factors: list, n_max: int,
                     rng: random.Random | None = None) -> list:
-    """Coefficients of x^0..x^n_max of Phi (sign +1) or PhiDagger (sign -1)
-    as the theta quotient (x^p; x^p)_inf^q / prod_{a=1}^{q} J_a.
+    """Coefficients of x^0..x^n_max of the product over a factor table
+    whose entries share one step M and pair up: (c, a, M) with (c, M-a, M).
 
-    Since chi(-1) = 1 the classes a and p - a pair up, and the Jacobi triple
-    product makes each pair's factors (x^p; x^p)_inf / J_a: J_a^- where
-    sign*chi(a) = 1, J_a^+ otherwise.  The numerator is built in y = x^p,
-    multiplying q times by the Euler series, and spread onto the multiples
-    of p; each J_a, with constant term 1, is then divided out by the exact
-    recurrence w[i] = v[i] - sum c*w[i-e] over its terms.  Factors that are
-    1 modulo x^(n_max+1) are left out: J_a for a > n_max, and the numerator
-    when p > n_max.  A seeded rng shuffles the order of the divisions.
+    The Jacobi triple product makes each pair's factors (x^M; x^M)_inf /
+    J_a, with J_a^- where c = 1 and J_a^+ where c = -1, so the product is
+    (x^M; x^M)_inf^r / prod J_a over the r pairs, each named by its entry
+    with 2a < M.  The numerator is built in y = x^M, multiplying r times by
+    the Euler series, and spread onto the multiples of M; each J_a, with
+    constant term 1, is then divided out by the exact recurrence w[i] =
+    v[i] - sum c*w[i-e] over its terms.  Factors that are 1 modulo
+    x^(n_max+1) are left out: J_a for a > n_max, and the numerator when
+    M > n_max.  A seeded rng shuffles the order of the divisions.
     """
-    p = ctx.p
-    euler = _euler_terms(n_max // p)
-    thetas = [_jacobi_terms(p, a, sign * ctx.chi[a] == 1, n_max)
-              for a in range(1, min(ctx.q, n_max) + 1)]
-    top = [1] + [0] * (n_max // p)
-    for _ in range(ctx.q if euler else 0):
+    (M,) = {step for _, _, step in factors}
+    pairs = [(c, a) for c, a, _ in factors if 2 * a < M]
+    euler = _euler_terms(n_max // M)
+    thetas = [_jacobi_terms(M, a, c == 1, n_max)
+              for c, a in pairs if a <= n_max]
+    top = [1] + [0] * (n_max // M)
+    for _ in range(len(pairs) if euler else 0):
         # descending i reads only entries not yet multiplied
         for i in range(len(top) - 1, 0, -1):
             top[i] += sum([c * top[i - e] for e, c in euler if e <= i])
     values = [0] * (n_max + 1)
-    values[::p] = top
+    values[::M] = top
     if rng is not None:
         rng.shuffle(thetas)
     for terms in thetas:
@@ -254,16 +232,18 @@ def oracle_table(ctx: PrimeContext, sign: int, n_max: int,
     """Exact coefficients of the signed-partition generating function.
 
     Phi (sign +1) or PhiDagger (sign -1) is the product of (1 -
-    sign*chi_a*x^(a+jp))^(-1) over all exponents a+jp <= n_max, expanded as
-    a theta quotient (_theta_quotient).  A seeded rng shuffles the order of
-    its J_a divisions; the table does not depend on it.
+    sign*chi_a*x^(a+jp))^(-1) over all exponents a+jp <= n_max: its
+    _factors table, expanded as a theta quotient with M = p
+    (_theta_quotient).  A seeded rng shuffles the order of its J_a
+    divisions; the table does not depend on it.
     """
     _check_choice("sign", sign, _SIGNS)
     _check_int("n_max", n_max, 1)
     if rng is not None and not isinstance(rng, random.Random):
         raise ValueError(f"rng must be None or a random.Random, got {rng!r}")
-    return SignedPartitionTable(ctx.p, sign,
-                                tuple(_theta_quotient(ctx, sign, n_max, rng)))
+    family = "Phi" if sign == 1 else "PhiDagger"
+    return SignedPartitionTable(
+        ctx.p, sign, tuple(_theta_quotient(_factors(ctx, family), n_max, rng)))
 
 
 def scan_vanishing(ctx: PrimeContext, sign: int, modulus: int,
@@ -292,11 +272,11 @@ def sigma_coeffs(ctx: PrimeContext, sign: int, m_max: int) -> list:
 
     Both variants are products of plain inverse factors (1 - x^e)^(-1); the
     exponents are the factor table of S+ (sign +1) or S- (sign -1), expanded
-    with _fold.
+    as a theta quotient with M = 2p (_theta_quotient).
     """
     _check_choice("sign", sign, _SIGNS)
     _check_int("m_max", m_max, 0)
-    return _fold(_factors(ctx, "S+" if sign == 1 else "S-"), m_max)
+    return _theta_quotient(_factors(ctx, "S+" if sign == 1 else "S-"), m_max)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from legpart.arith import (
     cyclo_is_zero,
     cyclo_neg,
     cyclo_to_complex,
-    cyclo_zero,
     default_precision,
     sawtooth,
 )
@@ -119,7 +118,7 @@ def test_sawtooth_periodic_and_odd():
 
 
 def test_cyclo_add_phase_examples():
-    acc = cyclo_zero()
+    acc = cyclo_from_phases([])
     acc = cyclo_add_phase(acc, 0)
     assert cyclo_to_complex(acc, 64).value == 1
     acc = cyclo_add_phase(acc, 1)

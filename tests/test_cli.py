@@ -10,12 +10,39 @@ from pathlib import Path
 import pytest
 
 import legpart.cli as cli
-from legpart.cli import (format_oracle_csv, format_oracle_json, main,
-                         parse_oracle_csv, parse_oracle_json)
+from legpart.cli import format_oracle_csv, format_oracle_json, main
 from legpart.context import make_context
 from legpart.series import oracle_table
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def parse_oracle_csv(text: str) -> list:
+    """The values of an oracle CSV table, rows checked to run n = 0, 1, ..."""
+    lines = text.strip().split("\n")
+    if lines[0] != "n,value":
+        raise ValueError("missing n,value header")
+    out = []
+    for i, line in enumerate(lines[1:]):
+        n, v = line.split(",")
+        if int(n) != i:
+            raise ValueError(f"rows out of order at {n}")
+        out.append(int(v))
+    return out
+
+
+def parse_oracle_json(text: str) -> list:
+    """The values of an oracle JSON document (schema 1), rows checked to
+    run n = 0, 1, ..."""
+    doc = json.loads(text)
+    if doc.get("schema") != 1:
+        raise ValueError("unknown schema")
+    out = []
+    for i, (n, v) in enumerate(doc["rows"]):
+        if n != i:
+            raise ValueError(f"rows out of order at {n}")
+        out.append(int(v))
+    return out
 
 
 def run_main(argv, capsys):

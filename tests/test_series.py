@@ -16,11 +16,12 @@ from legpart.charsums import (_chi_class, _twisted_phases,
 from legpart.context import make_context
 from legpart.series import (FEQ_CASES, THETA_FAMILIES, InconclusiveError,
                             RademacherResult, SeriesEvalConfig, _euler_terms,
-                            _factors, _fold, _jacobi_terms, _numeric_sum,
-                            _phase_vector, _theta_pairs, c_sequence,
-                            oracle_table, q_pochhammer, q_pochhammer_tail,
-                            rademacher_eval, scan_vanishing, sigma_coeffs,
-                            theta_products, verify_functional_equation)
+                            _factors, _jacobi_terms, _numeric_sum,
+                            _phase_vector, _theta_pairs, _theta_quotient,
+                            c_sequence, oracle_table, q_pochhammer,
+                            q_pochhammer_tail, rademacher_eval,
+                            scan_vanishing, sigma_coeffs, theta_products,
+                            verify_functional_equation)
 
 C5 = make_context(5)
 C13 = make_context(13)
@@ -105,6 +106,21 @@ def _literal_oracle_values(ctx, sign, n_max):
     return tuple(values)
 
 
+def _fold(factors, n_max):
+    """Coefficients of x^0..x^n_max of the product over a factor table,
+    folded literally: one geometric factor (1 - c*x^base)^(-1) at a time
+    into a dense array, n_max - base + 1 big-int additions per factor."""
+    terms = [(base, c) for c, first, step in factors
+             for base in range(first, n_max + 1, step)]
+    values = [0] * (n_max + 1)
+    values[0] = 1
+    for base, c in terms:
+        # values *= (1 - c x^base)^(-1), i.e. w[i] = v[i] + c*w[i-base]
+        for i in range(base, n_max + 1):
+            values[i] += c * values[i - base]
+    return values
+
+
 ORACLE_PRIMES = (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97)
 
 
@@ -122,6 +138,28 @@ def test_oracle_matches_literal_factor_list(p):
                     .values == want), (p, sign, n_max)
         family = "Phi" if sign == 1 else "PhiDagger"
         assert tuple(_fold(_factors(ctx, family), 500)) == want
+
+
+# the +-1 families of _factors: every one a product over paired classes
+PAIRED_FAMILIES = ("Phi", "PhiDagger", "F_r", "F_s", "G_r", "G_s",
+                   "R+", "R-", "S+", "S-")
+
+
+@pytest.mark.parametrize("p", (5, 13, 17, 29, 37, 41))
+def test_theta_quotient_matches_fold_for_every_family(p):
+    """Each +-1 factor table has one step M and pairs (c, a, M) with
+    (c, M - a, M), and its theta quotient equals its fold at every n_max
+    in 0..59 and at 300."""
+    ctx = make_context(p)
+    for family in PAIRED_FAMILIES:
+        table = _factors(ctx, family)
+        (M,) = {step for _, _, step in table}
+        assert all(0 < a < M and 2 * a != M for _, a, _ in table), family
+        assert (sorted((c, a) for c, a, _ in table)
+                == sorted((c, M - a) for c, a, _ in table)), family
+        for n_max in list(range(60)) + [300]:
+            assert (_theta_quotient(table, n_max)
+                    == _fold(table, n_max)), (p, family, n_max)
 
 
 def _literal_product(factors, n_max):
@@ -274,10 +312,13 @@ def _literal_sigma_coeffs(ctx, sign, m_max):
 
 @pytest.mark.parametrize("p", LITERAL_PRIMES)
 def test_sigma_matches_literal_exponent_list(p):
+    # the series reads m_max in {0, 2}, where the theta quotient skips its
+    # numerator and the J_a with a > m_max
     ctx = make_context(p)
     for sign in (1, -1):
-        want = _literal_sigma_coeffs(ctx, sign, 400)
-        assert sigma_coeffs(ctx, sign, 400) == want
+        for m_max in list(range(81)) + [400]:
+            want = _literal_sigma_coeffs(ctx, sign, m_max)
+            assert sigma_coeffs(ctx, sign, m_max) == want, (p, sign, m_max)
 
 
 def test_c_sequence_values():
