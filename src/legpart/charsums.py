@@ -34,7 +34,8 @@ from .arith import (
 )
 from .context import (PrimeContext, _csc_product, make_context, norm_mod,
                       power_class)
-from .dedekind import dedekind_s, dedekind_s_chi
+from .dedekind import (_dedekind_s_12k, _phi, _s_chi_numerators,
+                       _s_chi_weights)
 
 __all__ = [
     "PhaseExponent",
@@ -92,23 +93,35 @@ class TauCount:
 # p = 17 and k_max = 222, 181 after the series_deep benchmark, 384 after the
 # whole test suite in one process, so 2048, the size of series._phase_vector,
 # never evicts there.  The exact sums are not cached, so each one reads its
-# phases from here again.
+# phases from here again.  One lambda_exponent at a new modulus pays for the
+# whole row: O(a) int steps per distinct s_chi argument a <= k/2, O(log k)
+# per classical sum, and two Fractions per unit h <= k/2.
 @lru_cache(maxsize=2048)
 def _lambda_parts(p: int, k: int) -> tuple:
     """The finished phases (plain, dagger) of every h mod k, by the formulas
     in lambda_exponent, with None where h is not a unit.  gcd(0, 1) = 1, so
-    the k=1 row is the single spoke h=0."""
-    ctx = make_context(p)
-    half = Fraction(1, 2)
-    row = []
-    for h in range(k):
+    the k=1 row is the single spoke h=0.
+
+    The row is built in ints over one denominator 24 phi k^2: each s_chi
+    is its numerator 4 k phi k s_chi, computed once per distinct argument
+    mod k, and s(2h,k) - s(2hp,k) is 12 k times itself, by reciprocity.
+    Every part is odd in h, so only h <= k/2 is computed and
+    row[k-h] = -row[h].
+    """
+    phi = _phi(p, k)
+    s_chi = _s_chi_numerators(_s_chi_weights(make_context(p).chi, k), k)
+    den = 24 * phi * k * k
+    row = [None] * k
+    for h in range(k // 2 + 1):
         if math.gcd(h, k) != 1:
-            row.append(None)
             continue
-        s1 = dedekind_s_chi(ctx, h, k)
-        s2 = dedekind_s_chi(ctx, 2 * h, k)
-        tail = dedekind_s(2 * h, k) - dedekind_s(2 * h * p, k)
-        row.append((s1 - half * s2 + half * tail, half * s2 - s1 + half * tail))
+        twisted = 6 * s_chi(h) - 3 * s_chi(2 * h)
+        tail = phi * k * (_dedekind_s_12k(2 * h, k)
+                          - _dedekind_s_12k(2 * h * p, k))
+        plain = Fraction(twisted + tail, den)
+        dagger = Fraction(tail - twisted, den)
+        row[-h] = (-plain, -dagger)  # row[k-h]; h = -h (mod k) at k = 1, 2
+        row[h] = (plain, dagger)
     return tuple(row)
 
 

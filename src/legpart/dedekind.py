@@ -1,10 +1,24 @@
 """Dedekind sums, their Legendre-character twists, and reciprocity laws.
 
-Every sum here runs literally over its defining range, except s_chi: it
-regroups its defining sum by mu mod k against one weight table per modulus
-(see _s_chi_weights), so each call costs O(k) instead of O(pk).  The sawtooth
-and character factors are cleared to a common denominator first, so the
-inner loops are pure integer arithmetic and the results are exact Fractions.
+The public sums run over their defining ranges, with two regroupings that
+keep them exact:
+
+- dedekind_s, dedekind_t, dedekind_t_chi, dedekind_s_tilde and
+  lattice_floor_sum are literal loops.  dedekind_s stays literal on purpose:
+  verify_reciprocity_classical and the scaling checks test the reciprocity
+  law against it, so it must not be computed from that law.
+- dedekind_s_chi regroups its defining sum by mu mod k against one weight
+  table per modulus (see _s_chi_weights), so each call costs O(k) instead
+  of O(pk).
+
+Two private fast forms feed the per-modulus phase rows of charsums:
+_dedekind_s_12k, the classical sum by reciprocity along the Euclid chain in
+O(log k) int steps, and _s_chi_numerators, the cleared s_chi of one modulus
+at O(a) steps per argument a <= k/2, read from the same weight table.
+
+The sawtooth and character factors are cleared to a common denominator
+first, so the inner loops are pure integer arithmetic and the results are
+exact Fractions.
 """
 
 from __future__ import annotations
@@ -12,6 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .arith import _check_int
 from .context import PrimeContext
@@ -44,6 +59,28 @@ def dedekind_s(h: int, k: int) -> Fraction:
     return Fraction(total, 4 * k * k)
 
 
+def _dedekind_s_12k(h: int, k: int) -> int:
+    """12 k s(h,k) as an int, for any int h and k >= 1, by reciprocity.
+
+    s(gh, gk) = s(h,k), so with g = gcd(h,k) this is g T(h/g, k/g), where
+    T(h,k) = 12 k s(h,k) is an int for coprime h, k.  For 0 < h < k coprime,
+    12 h k times the reciprocity law reads
+    h T(h,k) + k T(k mod h, h) = h^2 + k^2 + 1 - 3hk, so T is unwound along
+    the Euclid chain from T(0,1) = 0, each step an exact int division.
+    """
+    g = math.gcd(h, k)
+    k //= g
+    h = h // g % k
+    chain = []
+    while h:
+        chain.append((h, k))
+        h, k = k % h, h
+    t = 0
+    for h, k in reversed(chain):
+        t = (h * h + k * k + 1 - 3 * h * k - k * t) // h
+    return g * t
+
+
 def dedekind_t(h: int, k: int) -> int:
     """The companion lattice sum t(h,k) = sum_{mu mod k} mu * floor(h mu / k)."""
     _check_int("h", h)
@@ -70,15 +107,49 @@ def _s_chi_weights(chi: tuple, k: int) -> tuple:
     so grouping the terms of s_chi by r = mu mod k gives
     4 k phi k s_chi(h,k) = sum_{r=1}^{k-1} (2a - k) W_k[r], a = h r mod k
     (terms with a = 0 vanish), for every integer h.
+
+    Closed forms, O(p^2 + k) in all: for p | k, mu = r, so
+    W_k[r] = chi(r)(2r - k).  Otherwise mu = r + jk with j = 0..p-1, and
+    r + jk meets every class mod p once, so the (2r - pk) part cancels and
+    W_k[r] = 2k sum_j j chi(r + jk), which depends on r mod p only (at r = 0
+    the j = 0 term is 0, as mu = 0 is not in the sum).
     """
     p = len(chi)
-    L = _phi(p, k) * k
-    w = [0] * k
-    for mu in range(1, L):
-        c = chi[mu % p]
-        if c:
-            w[mu % k] += c * (2 * mu - L)
-    return tuple(w)
+    if k % p == 0:
+        return tuple(chi[r % p] * (2 * r - k) for r in range(k))
+    by_class = [2 * k * sum(j * chi[(c + j * k) % p] for j in range(1, p))
+                for c in range(p)]
+    return tuple(by_class[r % p] for r in range(k))
+
+
+def _s_chi_numerators(w: tuple, k: int):
+    """The map a -> 4 k phi k s_chi(a,k), an int, for one modulus k, read
+    from w = _s_chi_weights(chi, k); it remembers each value it computes.
+
+    s_chi is odd in a, so a is brought to 0 <= a <= k/2 first.  Since
+    chi(-1) = 1, mu -> phi k - mu gives W[k-r] = -W[r], so W sums to 0 over
+    0 < r < k and over the r with a r = 0 (mod k), and the sum of
+    dedekind_s_chi may keep those terms.  Writing
+    a r mod k = a r - k floor(a r / k) then turns it into
+    2a sum r W[r] - 2k sum floor(a r / k) W[r].  floor(a r / k) counts the
+    m in 1..a-1 with r >= mk/a, so the second sum is
+    sum_{m=1}^{a-1} tails[ceil(mk/a)], where tails[j] = sum_{r>=j} W[r].
+    Each a costs O(a) steps after one O(k) pass for the tails.
+    """
+    tails = [*accumulate(reversed(w))][::-1]
+    moment = sum(tails[1:])
+    values = {}
+
+    def s_chi(a):
+        a %= k
+        if 2 * a > k:
+            return -s_chi(k - a)
+        if a not in values:
+            floors = sum(tails[-(-mk // a)] for mk in range(k, a * k, k))
+            values[a] = 2 * a * moment - 2 * k * floors
+        return values[a]
+
+    return s_chi
 
 
 def dedekind_s_chi(ctx: PrimeContext, h: int, k: int) -> Fraction:

@@ -54,27 +54,31 @@ def test_lambda_exponent_rejects():
             lambda_exponent(C17, h, k)
 
 
-def _literal_lambda_parts(ctx, h, k):
-    """The phases (plain, dagger) of one unit h/k by the formulas in
-    lambda_exponent: the oracle for the per-modulus rows."""
-    s1 = dedekind_s_chi(ctx, h, k)
-    s2 = dedekind_s_chi(ctx, 2 * h, k)
-    tail = dedekind_s(2 * h, k) - dedekind_s(2 * h * ctx.p, k)
+def _literal_lambda_row(p, k):
+    """The phases (plain, dagger) of every h mod k, one unit at a time by
+    the formulas in lambda_exponent through the public dedekind_s_chi and
+    the literal dedekind_s: the oracle for the per-modulus integer rows."""
+    ctx = make_context(p)
     half = Fraction(1, 2)
-    return s1 - half * s2 + half * tail, half * s2 - s1 + half * tail
+    row = []
+    for h in range(k):
+        if math.gcd(h, k) != 1:
+            row.append(None)
+            continue
+        s1 = dedekind_s_chi(ctx, h, k)
+        s2 = dedekind_s_chi(ctx, 2 * h, k)
+        tail = dedekind_s(2 * h, k) - dedekind_s(2 * h * p, k)
+        row.append((s1 - half * s2 + half * tail, half * s2 - s1 + half * tail))
+    return tuple(row)
 
 
 def test_lambda_parts_rows_match_per_unit_formula(monkeypatch):
-    for ctx in (C5, C13, C17):
-        p = ctx.p
-        for k in [*range(1, 41), 3 * p, 4 * p, 5 * p]:
-            row = _lambda_parts(p, k)
+    for p in (5, 13, 17):
+        for k in [*range(1, 121), 3 * p, 6 * p, 10 * p, 301, 442]:
+            row = _lambda_parts.__wrapped__(p, k)
             assert len(row) == k
-            for h, parts in enumerate(row):
-                if math.gcd(h, k) != 1:
-                    assert parts is None, (p, h, k)
-                else:
-                    assert parts == _literal_lambda_parts(ctx, h, k), (p, h, k)
+            assert row == _literal_lambda_row(p, k), (p, k)
+            assert _lambda_parts(p, k) == row, (p, k)
     # the exact sums and the series' phase vectors read the rows, not the
     # per-unit accessor
     def refuse(*args, **kwargs):
@@ -89,6 +93,20 @@ def test_lambda_parts_rows_match_per_unit_formula(monkeypatch):
                            if parts is not None}, (k, variant)
     assert kloosterman_L_plus(C17, 51, 8, 2).is_zero()
     assert not kloosterman_L(C17, 3, 1, "dagger").is_zero()
+
+
+def test_lambda_parts_rows_are_odd_in_h():
+    # lambda(-h,k) = -lambda(h,k) for both variants: the per-unit formula
+    # obeys it, and the rows, which compute h <= k/2 only, keep it
+    for p in (5, 13, 17):
+        for k in [*range(1, 61), 3 * p, 6 * p, 301]:
+            for row in (_literal_lambda_row(p, k), _lambda_parts(p, k)):
+                for h, parts in enumerate(row):
+                    mirror = row[-h]
+                    if parts is None:
+                        assert mirror is None, (p, h, k)
+                    else:
+                        assert mirror == (-parts[0], -parts[1]), (p, h, k)
 
 
 def test_phi_root_examples():

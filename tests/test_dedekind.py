@@ -9,6 +9,8 @@ import pytest
 from legpart.charsums import lambda_exponent
 from legpart.context import make_context
 from legpart.dedekind import (
+    _dedekind_s_12k,
+    _s_chi_numerators,
     _s_chi_weights,
     dedekind_s,
     dedekind_s_chi,
@@ -26,6 +28,22 @@ def test_classical_s_examples():
         assert dedekind_s(h, 1) == 0
     assert dedekind_s(1, 3) == Fraction(1, 18)
     assert dedekind_s(2, 6) == Fraction(1, 18)
+
+
+def test_euclid_s_matches_literal_sum():
+    # k = 1, gcd(h,k) > 1, negative h and h >= k all included
+    for k in range(1, 61):
+        for h in range(-2 * k - 3, 2 * k + 4):
+            got = _dedekind_s_12k(h, k)
+            assert isinstance(got, int)
+            assert got == 12 * k * dedekind_s(h, k), (h, k)
+    rng = random.Random(40961)
+    for _ in range(300):
+        k = rng.randint(1, 2000)
+        h = rng.randint(-3000, 3000)
+        g = rng.choice((1, 1, 2, 6, 17))
+        want = 12 * g * k * dedekind_s(h, k)
+        assert _dedekind_s_12k(g * h, g * k) == want, (g, h, k)
 
 
 def test_classical_t_examples():
@@ -80,6 +98,44 @@ def test_s_chi_examples():
     assert dedekind_s_chi(c17, 1, 2) == dedekind_s_chi(c17, 2, 4)
     v = dedekind_s_chi(c5, 1, 2)
     assert v == Fraction(1, 2) * c5.b2 - Fraction(1, 2) * dedekind_t_chi(c5, 1, 2)
+
+
+def _s_chi_weights_literal(chi, k):
+    """The defining O(pk) loop of W_k, the oracle for the closed forms of
+    _s_chi_weights: mu runs over 0 < mu < phi k, grouped by mu mod k."""
+    p = len(chi)
+    L = (1 if k % p == 0 else p) * k
+    w = [0] * k
+    for mu in range(1, L):
+        c = chi[mu % p]
+        if c:
+            w[mu % k] += c * (2 * mu - L)
+    return tuple(w)
+
+
+def test_s_chi_weights_match_literal_loop():
+    for p in (5, 13, 17):
+        chi = make_context(p).chi
+        for k in [*range(1, 300), 10 * p, 20 * p, 442, 699]:
+            want = _s_chi_weights_literal(chi, k)
+            assert _s_chi_weights.__wrapped__(chi, k) == want, (p, k)
+
+
+def test_s_chi_numerators_match_regrouped_sum():
+    # every argument, including a = 0, non-units, a < 0 and a >= k, in both
+    # a rising and a falling order, so the remembered values and the mirror
+    # a -> k - a are read in both directions
+    for p in (5, 13, 17):
+        ctx = make_context(p)
+        for k in [*range(1, 61), 3 * p, 4 * p, 10 * p, 301]:
+            scale = 4 * k * (1 if k % p == 0 else p) * k
+            want = {a: scale * dedekind_s_chi(ctx, a, k)
+                    for a in range(-k - 2, 2 * k + 3)}
+            for order in (sorted(want), sorted(want, reverse=True)):
+                s_chi = _s_chi_numerators(_s_chi_weights(ctx.chi, k), k)
+                for a in order:
+                    got = s_chi(a)
+                    assert isinstance(got, int) and got == want[a], (p, a, k)
 
 
 def _s_chi_literal(ctx, h, k):
