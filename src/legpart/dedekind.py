@@ -1,7 +1,6 @@
 """Dedekind sums, their Legendre-character twists, and reciprocity laws.
 
-The public sums run over their defining ranges, with two regroupings that
-keep them exact:
+Every public sum is exact, and each is literal or regrouped:
 
 - dedekind_s, dedekind_t, dedekind_t_chi, dedekind_s_tilde and
   lattice_floor_sum are literal loops.  dedekind_s stays literal on purpose:
@@ -128,9 +127,10 @@ def _s_chi_numerators(w: tuple, k: int):
 
     s_chi is odd in a, so a is brought to 0 <= a <= k/2 first.  Since
     chi(-1) = 1, mu -> phi k - mu gives W[k-r] = -W[r], so W sums to 0 over
-    0 < r < k and over the r with a r = 0 (mod k), and the sum of
-    dedekind_s_chi may keep those terms.  Writing
-    a r mod k = a r - k floor(a r / k) then turns it into
+    0 < r < k and over the r with a r = 0 (mod k): the sum of
+    dedekind_s_chi may keep the terms it skips, as (2 * 0 - k) W[r], and
+    then it does not change when the constant -k sum W[r] is dropped.
+    Writing a r mod k = a r - k floor(a r / k) turns it into
     2a sum r W[r] - 2k sum floor(a r / k) W[r].  floor(a r / k) counts the
     m in 1..a-1 with r >= mk/a, so the second sum is
     sum_{m=1}^{a-1} tails[ceil(mk/a)], where tails[j] = sum_{r>=j} W[r].
