@@ -54,12 +54,19 @@ def format_scan_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(path, text) -> None:
+def _emit(path, text) -> int:
+    """Write text to path, or to stdout for None and "-".  Returns the exit
+    code: 0, or 1 after reporting a path that cannot be written."""
     if path in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -70,14 +77,8 @@ def cmd_oracle(args) -> int:
     ctx = make_context(args.p)
     sign = 1 if args.sign == "+" else -1
     table = oracle_table(ctx, sign, args.n_max)
-    text = (format_oracle_csv(table) if args.format == "csv"
-            else format_oracle_json(table))
-    try:
-        _emit(args.out, text)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    return _emit(args.out, format_oracle_csv(table) if args.format == "csv"
+                 else format_oracle_json(table))
 
 
 def cmd_scan(args) -> int:
@@ -93,12 +94,7 @@ def cmd_scan(args) -> int:
     for p, start in starts:
         found = scan_vanishing(make_context(p), sign, 2 * p, start, args.n_max)
         rows.append((p, sorted(found)))
-    try:
-        _emit(args.out, format_scan_csv(rows))
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    return _emit(args.out, format_scan_csv(rows))
 
 
 def cmd_verify(args) -> int:

@@ -11,10 +11,11 @@ reuses the exact phases from charsums.
 
 The series evaluates its exponential sums per modulus k, not per (k, n):
 the phases z_h and the k-th roots of unity do not depend on n, so each is
-built once as a fixed-point integer vector, and each sum L(k, n) is one
-exact integer dot product rounded once to working precision, within
-2^-(wp+14) of its exact value (see _numeric_sum).  The exact cyclotomic
-sums of charsums are not on this path; the tests use them as its oracle.
+built once as a fixed-point integer vector.  chi(-1) = 1 makes each sum
+L(k, n) real, so it is the real half of one exact integer dot product,
+rounded once to an mpf within 2^-(wp+14) of its exact value (see
+_numeric_sum).  The exact cyclotomic sums of charsums are not on this
+path; the tests use them as its oracle.
 """
 
 import math
@@ -320,33 +321,32 @@ def _poch_partial(z, q, truncation: int):
     return val, _poch_tail_bound(z, q, truncation)
 
 
+def _poch_at(z, q, truncation: int, part, wrap):
+    """part(z, q, truncation) at 16 guard bits, after the checks both
+    (z;q)-product entry points share, wrapped at the carried precision."""
+    _check_int("truncation", truncation, 0)
+    prec = _carried_prec(z, q)
+    with mp.workprec(prec + 16):
+        zz, qq = _as_mpc(z), _as_mpc(q)
+        if abs(qq) >= 1:
+            raise ValueError("q must satisfy |q| < 1")
+        out = part(zz, qq, truncation)
+    with mp.workprec(prec):
+        return wrap(+out, prec)
+
+
 def q_pochhammer(z, q, truncation: int) -> HPComplex:
     """Truncated (z;q)-product: prod_{j<truncation} (1 - z q^j).
 
     Needs |q| < 1; see q_pochhammer_tail for the matching tail bound.
     """
-    _check_int("truncation", truncation, 0)
-    prec = _carried_prec(z, q)
-    with mp.workprec(prec + 16):
-        zz, qq = _as_mpc(z), _as_mpc(q)
-        if abs(qq) >= 1:
-            raise ValueError("q must satisfy |q| < 1")
-        val, _ = _poch_partial(zz, qq, truncation)
-    with mp.workprec(prec):
-        return HPComplex(+val, prec)
+    return _poch_at(z, q, truncation,
+                    lambda *args: _poch_partial(*args)[0], HPComplex)
 
 
 def q_pochhammer_tail(z, q, truncation: int) -> HPReal:
     """Relative error bound matching q_pochhammer at the same arguments."""
-    _check_int("truncation", truncation, 0)
-    prec = _carried_prec(z, q)
-    with mp.workprec(prec + 16):
-        zz, qq = _as_mpc(z), _as_mpc(q)
-        if abs(qq) >= 1:
-            raise ValueError("q must satisfy |q| < 1")
-        bound = _poch_tail_bound(zz, qq, truncation)
-    with mp.workprec(prec):
-        return HPReal(+bound, prec)
+    return _poch_at(z, q, truncation, _poch_tail_bound, HPReal)
 
 
 def _theta_pairs(ctx: PrimeContext, family: str, x):
@@ -552,12 +552,13 @@ def _numeric_sum(ctx: PrimeContext, k: int, n: int, m: int, variant: str,
                  cls: int | None, wp: int):
     """Numeric sum over the units h of _phase_vector of z_h * omega^(-n h).
 
-    The products of the fixed-point phases and roots are summed as one
-    exact integer and rounded once to an mpc at wp bits.  Each phase and
-    root is within 2^(0.6 - bits) of its true value, so each product is
-    within 2^(1.6 - bits), and the whole sum, with bits = wp + 16 +
-    bitlen(terms), within 2^-(wp+14) before that rounding: the budget
-    cyclo_to_complex gives the exact sum, which the tests compare against.
+    The sum is real (chi(-1) = 1 pairs h with -h), so only the real parts
+    of the products of the fixed-point phases and roots are summed, as one
+    exact integer rounded once to an mpf at wp bits.  Each phase and root
+    is within 2^(0.6 - bits) of its true value, so each real part is within
+    2^(1.6 - bits), and the real sum, with bits = wp + 16 + bitlen(terms),
+    within 2^-(wp+14) before that rounding: the budget cyclo_to_complex
+    gives the exact sum, which the tests compare against.
     """
     bits, hs, zre, zim = _phase_vector(ctx.p, k, variant, m, cls, wp)
     # omega_k^j = omega_2k^(2j): an odd k reads the table of 2k, so the k
@@ -565,14 +566,11 @@ def _numeric_sum(ctx: PrimeContext, k: int, n: int, m: int, variant: str,
     M = k if k % 2 == 0 else 2 * k
     cre, cim = _root_table(M, bits)
     t = (-n % k) * (M // k)
-    re = im = 0
+    re = 0
     for h, a, b in zip(hs, zre, zim):
         j = t * h % M
-        c, d = cre[j], cim[j]
-        re += a * c - b * d
-        im += a * d + b * c
-    return mp.make_mpc((from_man_exp(re, -2 * bits, wp, "n"),
-                        from_man_exp(im, -2 * bits, wp, "n")))
+        re += a * cre[j] - b * cim[j]
+    return mp.make_mpf(from_man_exp(re, -2 * bits, wp, "n"))
 
 
 @lru_cache(maxsize=2048)
@@ -606,11 +604,12 @@ def rademacher_eval(ctx: PrimeContext, sign: int, n: int,
     Three sub-series: odd k coprime to the prime merged with the matching
     2k term, the multiples of 4 prime to p, and the odd multiples of p where
     the inner m-sum runs over c_m > 0 with the even-split product
-    coefficients as weights.  Everything runs at wp = precision + 32 bits.
-    Each exponential sum comes from the per-modulus fixed-point tables and
-    is within 2^-(wp+14) of its exact value before one rounding to wp bits;
-    lambda_k is memoised per (p, k, variant, wp).  n~ = n + (p-1)/24 stays
-    rational until the final square root.
+    coefficients as weights.  Everything runs in real arithmetic at wp =
+    precision + 32 bits: chi(-1) = 1 makes each exponential sum real, and
+    each is one real sum from the per-modulus fixed-point tables, within
+    2^-(wp+14) of its exact value before one rounding to wp bits.  lambda_k
+    is memoised per (p, k, variant, wp).  n~ = n + (p-1)/24 stays rational
+    until the final square root.
 
     All three sub-series carry a factor 2*pi on top of the source display:
     the contour-integral step there evaluates a closed loop against
@@ -632,7 +631,7 @@ def rademacher_eval(ctx: PrimeContext, sign: int, n: int,
         sqrt_nt = mp.sqrt(ntilde)
         kappa = mp.pi * mp.sqrt(to_mpf(ctx.kappa_sq))
         prefac = kappa / (2 * sqrt_nt)
-        total = mp.mpc(0)
+        raw = mp.mpf(0)
         for k in range(1, k_max + 1, 2):
             if k % p == 0:
                 continue
@@ -641,14 +640,14 @@ def rademacher_eval(ctx: PrimeContext, sign: int, n: int,
                      + _weight(p, 2 * k, variant, wp)
                      * _numeric_sum(ctx, 2 * k, n, 0, variant, None, wp))
             bess = bessel_i1(kappa * sqrt_nt / (2 * k), wp).value
-            total += prefac * piece / (2 * k) * bess
+            raw += prefac * piece / (2 * k) * bess
         for k in range(4, k_max + 1, 4):
             if k % p == 0:
                 continue
             piece = (_weight(p, k, variant, wp)
                      * _numeric_sum(ctx, k, n, 0, variant, None, wp))
             bess = bessel_i1(kappa * sqrt_nt / k, wp).value
-            total += prefac * piece / k * bess
+            raw += prefac * piece / k * bess
         # L_plus (plain) or L_dagger_minus (dagger): one character class
         cls = 1 if variant == "plain" else -1
         for K in range(p, k_max + 1, 2 * p):
@@ -657,10 +656,9 @@ def rademacher_eval(ctx: PrimeContext, sign: int, n: int,
                     continue
                 scm = mp.sqrt(to_mpf(cm))
                 bess = bessel_i1(2 * mp.pi * scm * sqrt_nt / K, wp).value
-                total += (2 * mp.pi * sig[m] * scm / (2 * K) / sqrt_nt
-                          * _numeric_sum(ctx, K, n, m, variant, cls, wp)
-                          * bess)
-        raw = mp.re(total)
+                raw += (2 * mp.pi * sig[m] * scm / (2 * K) / sqrt_nt
+                        * _numeric_sum(ctx, K, n, m, variant, cls, wp)
+                        * bess)
         rounded = int(mp.nint(raw))
         dist = abs(raw - rounded)
     with mp.workprec(prec):

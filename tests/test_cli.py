@@ -259,6 +259,14 @@ def test_oracle_write_failure(capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+def test_scan_write_failure(capsys):
+    rc = main(["scan", "--p-min", "5", "--p-max", "5", "--n-max", "60",
+               "--out", "/nonexistent-dir/s.csv"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write /nonexistent-dir/s.csv: ")
+
+
 def test_verify_write_failure(capsys):
     rc = main(["verify", "--suite", "tau",
                "--report", "/nonexistent-dir/r.json"])

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 import legpart
 from legpart.arith import HPComplex, HPReal, cyclo_to_complex
@@ -17,9 +18,9 @@ from legpart.context import make_context
 from legpart.series import (FEQ_CASES, THETA_FAMILIES, InconclusiveError,
                             RademacherResult, SeriesEvalConfig, _euler_terms,
                             _factors, _jacobi_terms, _numeric_sum,
-                            _phase_vector, _theta_pairs, _theta_quotient,
-                            c_sequence, oracle_table, q_pochhammer,
-                            q_pochhammer_tail, rademacher_eval,
+                            _phase_vector, _root_table, _theta_pairs,
+                            _theta_quotient, c_sequence, oracle_table,
+                            q_pochhammer, q_pochhammer_tail, rademacher_eval,
                             scan_vanishing, sigma_coeffs, theta_products,
                             verify_functional_equation)
 
@@ -590,6 +591,36 @@ def test_rademacher_pinned_values():
     r11 = rademacher_eval(C17, -1, 11, cfg)
     assert r11.rounded == 0
     assert float(r11.distance_to_integer.value) < 1e-30
+    # every bit of raw and distance_to_integer, as mpf tuples (sign, man,
+    # exp, bc): p = 5, 13, 17, both signs, and k_max >= 3p, so that the
+    # p | K sub-series is in each sum
+    pins = [
+        (C17, 1, 1, 60, 128,
+         (0, 176454537265031512892616512136296119689, -127, 128),
+         (0, 101013660872996498574867334726592223371, -131, 127)),
+        (C17, 1, 17, 60, 128,
+         (0, 189328549351296860210572237739511582373, -284, 128),
+         (0, 189328549351296860210572237739511582373, -284, 128)),
+        (C17, -1, 11, 60, 128,
+         (1, 256749739648904392335495049873328848377, -289, 128),
+         (0, 256749739648904392335495049873328848377, -289, 128)),
+        (C5, 1, 7, 20, 64,
+         (1, 9542844129543397173, -63, 64),
+         (0, 1277888370754485459, -65, 61)),
+        (C5, -1, 12, 20, 64,
+         (0, 3476174529530391005, -59, 62),
+         (0, 139280125678800615, -62, 57)),
+        (C13, 1, 20, 40, 96,
+         (0, 39836910156337703674510970813, -92, 96),
+         (0, 28522099098308464350591442607, -99, 95)),
+        (C13, -1, 9, 40, 96,
+         (1, 1249095442394054838717024367, -87, 91),
+         (0, 45692531133131013398118985697, -99, 96)),
+    ]
+    for ctx, sign, n, k_max, prec, raw, dist in pins:
+        r = rademacher_eval(ctx, sign, n, SeriesEvalConfig(k_max, prec))
+        assert r.raw.value._mpf_ == raw, (ctx.p, sign, n)
+        assert r.distance_to_integer.value._mpf_ == dist, (ctx.p, sign, n)
 
 
 def test_rademacher_result_invariant():
@@ -695,12 +726,12 @@ def test_numeric_sums_match_exact_sums():
 def test_numeric_sums_are_real():
     # chi(-1) = 1 at these primes, so -h mod k is a unit of the same class
     # as h; its phase is the negated one, so z_(-h) = conj(z_h) and each
-    # sum L(k, n) is real: its imaginary part stays inside the error budget
-    # 2^-(wp+14) of _numeric_sum.  k < 40 prime to p, and K = p, 3p, 5p for
-    # every m with sigma_m != 0, in the classes the series sums over
+    # sum L(k, n) is real.  _numeric_sum returns only the real half of its
+    # fixed-point dot product; the imaginary half, built here from the same
+    # integers, stays inside the error budget 2^-(wp+14) of zero.  k < 40
+    # prime to p, and K = p, 3p, 5p for every m with sigma_m != 0, in the
+    # classes the series sums over
     wp = 160
-    with mp.workprec(wp):
-        budget = mp.mpf(2) ** -(wp + 14)
     for ctx in (C5, C13, C17):
         p = ctx.p
         cms = c_sequence(ctx)
@@ -713,7 +744,7 @@ def test_numeric_sums_are_real():
         for k, m, variant, cls in cases:
             residues = None if cls is None else _chi_class(ctx, cls)
             phases = dict(_twisted_phases(p, variant, k, m, residues))
-            _, hs, zre, zim = _phase_vector(p, k, variant, m, cls, wp)
+            bits, hs, zre, zim = _phase_vector(p, k, variant, m, cls, wp)
             assert list(hs) == list(phases)
             at = {h: i for i, h in enumerate(hs)}
             for i, h in enumerate(hs):
@@ -721,9 +752,20 @@ def test_numeric_sums_are_real():
                 assert phases[hs[j]] == -phases[h] % 2, (p, k, m, variant, h)
                 # each fixed-point value is within 2^0.1 units of the truth
                 assert abs(zre[j] - zre[i]) <= 2 and abs(zim[j] + zim[i]) <= 2
+            M = k if k % 2 == 0 else 2 * k
+            cre, cim = _root_table(M, bits)
             for n in range(k):
+                js = [(-n % k) * (M // k) * h % M for h in hs]
+                re = sum(a * cre[j] - b * cim[j]
+                         for j, a, b in zip(js, zre, zim))
+                im = sum(a * cim[j] + b * cre[j]
+                         for j, a, b in zip(js, zre, zim))
                 got = _numeric_sum(ctx, k, n, m, variant, cls, wp)
-                assert abs(got.imag) <= budget, (p, k, n, m, variant)
+                assert type(got) is mp.mpf
+                assert got == mp.make_mpf(from_man_exp(re, -2 * bits, wp, "n"))
+                # |im| / 2^(2 bits) <= 2^-(wp+14), in exact integers
+                assert abs(im) << (wp + 14) <= 1 << (2 * bits), \
+                    (p, k, n, m, variant)
 
 
 def test_series_path_caches_are_bounded():
