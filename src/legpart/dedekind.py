@@ -2,13 +2,15 @@
 
 Every public sum is exact, and each is literal or regrouped:
 
-- dedekind_s, dedekind_t, dedekind_t_chi, dedekind_s_tilde and
-  lattice_floor_sum are literal loops.  dedekind_s stays literal on purpose:
+- dedekind_s, dedekind_t, dedekind_s_tilde and lattice_floor_sum are
+  literal loops.  dedekind_s stays literal on purpose:
   verify_reciprocity_classical and the scaling checks test the reciprocity
   law against it, so it must not be computed from that law.
-- dedekind_s_chi regroups its defining sum by mu mod k against one weight
-  table per modulus (see _s_chi_weights), so each call costs O(k) instead
-  of O(pk).
+- dedekind_s_chi and dedekind_t_chi are regrouped per modulus: each splits
+  mu by its class mod k and reads one weight table per modulus (see
+  _s_chi_weights; t_chi adds the one int _t_chi_offset), so each call costs
+  O(k) instead of O(pk).  t_chi is not derived from s_chi through their
+  linkage law, which the verify suite tests.
 
 Two private fast forms feed the per-modulus phase rows of charsums:
 _dedekind_s_12k, the classical sum by reciprocity along the Euclid chain in
@@ -92,10 +94,12 @@ def _phi(p: int, k: int) -> int:
     return 1 if k % p == 0 else p
 
 
-# One entry per (prime, k).  The series at k_max sums over the moduli k and 2k
-# for odd k <= k_max, so it reaches 2k <= 442 at k_max = 222, though only 267
-# distinct moduli at p = 17; the verify suites reach k <= 20p for the primes
-# 5, 13 and 17.  The whole test suite, run in one process, holds 497 keys:
+# One entry per (prime, k); it feeds s_chi, the phase rows and t_chi.  The
+# series at k_max sums over the moduli k and 2k for odd k <= k_max, so it
+# reaches 2k <= 442 at k_max = 222, though only 267 distinct moduli at
+# p = 17; the verify suites reach k <= 20p for the primes 5, 13 and 17.
+# `legpart verify --suite all --scale full` leaves 357 keys here and 309 in
+# _t_chi_offset; the whole test suite, run in one process, 558 and 410.
 # 1024 never evicts there, and still bounds an arbitrary caller.
 @lru_cache(maxsize=1024)
 def _s_chi_weights(chi: tuple, k: int) -> tuple:
@@ -166,20 +170,49 @@ def dedekind_s_chi(ctx: PrimeContext, h: int, k: int) -> Fraction:
     return Fraction(total, 4 * k * _phi(ctx.p, k) * k)
 
 
+# The (prime, k) keys of _s_chi_weights that t_chi reaches, under the same
+# bound (see the counts above that function).
+@lru_cache(maxsize=1024)
+def _t_chi_offset(chi: tuple, k: int) -> int:
+    """B_k = sum j (r + jk) chi(r + jk) over 0 <= r < k and 0 <= j < phi.
+
+    chi is the character table of p (so p = len(chi)) and phi = _phi(p, k).
+    It is the coefficient of h in phi t_chi(h,k) (see dedekind_t_chi).  For
+    p | k, phi = 1 and only j = 0 occurs, so B_k = 0.  Otherwise the sums
+    over j depend on r only through c = r mod p, so
+    B_k = sum_r (r U[c] + k V[c]) with U[c] = sum_j j chi(c + jk) and
+    V[c] = sum_j j^2 chi(c + jk), O(p^2 + k) in all.
+    """
+    p = len(chi)
+    if k % p == 0:
+        return 0
+    u = [sum(j * chi[(c + j * k) % p] for j in range(1, p)) for c in range(p)]
+    v = [sum(j * j * chi[(c + j * k) % p] for j in range(1, p))
+         for c in range(p)]
+    return sum(r * u[r % p] + k * v[r % p] for r in range(k))
+
+
 def dedekind_t_chi(ctx: PrimeContext, h: int, k: int) -> Fraction:
-    """Twisted lattice sum (1/phi) sum_{mu mod phi k} mu chi(mu) floor(h mu / k)."""
+    """Twisted lattice sum (1/phi) sum_{mu mod phi k} mu chi(mu) floor(h mu / k).
+
+    Writing mu = r + jk with 0 <= r < k and 0 <= j < phi gives
+    floor(h mu / k) = floor(h r / k) + h j, so for every integer h
+    phi t_chi(h,k) = sum_{r=1}^{k-1} floor(h r / k) A_k[r] + h B_k, where
+    A_k[r] = sum_j (r + jk) chi(r + jk) and B_k is _t_chi_offset(chi, k).
+    A_k is read from W_k = _s_chi_weights(chi, k).  For p !| k, r + jk
+    meets every class mod p once, so the constant in W_k's (2 mu - phi k)
+    cancels and A_k = W_k / 2.  For p | k, mu = r, so
+    A_k[r] = r chi(r) = (W_k[r] + k chi(r)) / 2; the k chi(r) part drops
+    out, as sum_{r=1}^{k-1} floor(h r / k) chi(r) = 0 there (pair r with
+    k - r: chi(-1) = 1, and chi sums to 0 over the r with k | h r).  So
+    W_k / 2 serves for both, and each call costs O(k) instead of O(phi k).
+    """
     _check_int("h", h)
     _check_int("k", k, 1)
-    p = ctx.p
-    chi = ctx.chi
-    phi = _phi(p, k)
-    total = 0
-    for mu in range(phi * k):
-        c = chi[mu % p]
-        if c:
-            t = mu * ((h * mu) // k)
-            total += t if c > 0 else -t
-    return Fraction(total, phi)
+    w = _s_chi_weights(ctx.chi, k)
+    total = sum((h * r // k) * w[r] for r in range(1, k))
+    return Fraction(total + 2 * h * _t_chi_offset(ctx.chi, k),
+                    2 * _phi(ctx.p, k))
 
 
 def dedekind_s_tilde(ctx: PrimeContext, a: int, b: int) -> Fraction:
@@ -212,13 +245,16 @@ def dedekind_s_tilde(ctx: PrimeContext, a: int, b: int) -> Fraction:
 def lattice_floor_sum(ctx: PrimeContext, a: int, y) -> int:
     """Double sum S(y) = sum_{mu, nu mod p} mu chi(nu) floor((a mu + a y + nu)/p).
 
-    Since 0 <= frac(a y) < 1 and the rest of the numerator is an integer,
+    y is an int or a Fraction; a float is refused, not read as the binary
+    fraction it stores.  Since 0 <= frac(a y) < 1 and the rest of the
+    numerator is an integer,
     floor((a mu + nu + a y)/p) = floor((a mu + nu + floor(a y))/p), so the
     whole computation is integer arithmetic.
     """
     _check_int("a", a)
-    ay = Fraction(a) * Fraction(y)
-    e = ay.numerator // ay.denominator
+    if isinstance(y, bool) or not isinstance(y, (int, Fraction)):
+        raise ValueError(f"y must be an int or a Fraction, got {y!r}")
+    e = math.floor(a * y)
     p = ctx.p
     chi = ctx.chi
     total = 0

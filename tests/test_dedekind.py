@@ -12,6 +12,7 @@ from legpart.dedekind import (
     _dedekind_s_12k,
     _s_chi_numerators,
     _s_chi_weights,
+    _t_chi_offset,
     dedekind_s,
     dedekind_s_chi,
     dedekind_s_tilde,
@@ -184,6 +185,41 @@ def test_t_chi_examples():
     assert dedekind_t_chi(c5, 2, 2) == Fraction(8, 5)
 
 
+def _t_chi_literal(ctx, h, k):
+    """The defining O(phi k) loop of t_chi, kept as the oracle for the
+    regrouped sum: mu runs over 0 <= mu < phi k, phi = p unless p | k."""
+    p = ctx.p
+    phi = 1 if k % p == 0 else p
+    total = 0
+    for mu in range(phi * k):
+        c = ctx.chi[mu % p]
+        if c:
+            t = mu * ((h * mu) // k)
+            total += t if c > 0 else -t
+    return Fraction(total, phi)
+
+
+def _t_chi_offset_literal(chi, k):
+    """B_k as its defining double sum over mu = r + jk."""
+    p = len(chi)
+    phi = 1 if k % p == 0 else p
+    return sum(j * (r + j * k) * chi[(r + j * k) % p]
+               for r in range(k) for j in range(phi))
+
+
+def test_t_chi_matches_literal_loop():
+    for p in (5, 13, 17):
+        ctx = make_context(p)
+        for k in [*range(1, 121), p, 3 * p, 10 * p, 20 * p]:
+            assert (_t_chi_offset.__wrapped__(ctx.chi, k)
+                    == _t_chi_offset_literal(ctx.chi, k)), (p, k)
+            # h = 0, h < 0, h >= k, and h sharing a factor with k or p
+            hs = {*range(-4, 9), k - 1, k, k + 1, 2 * k + 3, -k - 2, p, 2 * p}
+            for h in sorted(hs):
+                got = dedekind_t_chi(ctx, h, k)
+                assert got == _t_chi_literal(ctx, h, k), (p, h, k)
+
+
 def test_twisted_scaling_and_linkage():
     rng = random.Random(55019)
     for p in (5, 13, 17):
@@ -248,6 +284,7 @@ def test_entry_points_reject_bools_and_floats():
         ("a", lambda v: dedekind_s_tilde(ctx, v, 3)),
         ("b", lambda v: dedekind_s_tilde(ctx, 1, v)),
         ("a", lambda v: lattice_floor_sum(ctx, v, 0)),
+        ("y", lambda v: lattice_floor_sum(ctx, 3, v)),
         ("h", lambda v: verify_reciprocity_classical(v, 3)),
         ("k", lambda v: verify_reciprocity_classical(2, v)),
         ("h", lambda v: verify_reciprocity_chi(ctx, v, 3)),
