@@ -502,28 +502,37 @@ def verify_functional_equation(ctx: PrimeContext, case: str, h: int, k: int,
 # series evaluation
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=65536)
 def _fixed_cis(num: int, den: int, bits: int) -> tuple:
     """(cos, sin) of pi*num/den as integers scaled by 2^bits, each within
-    2^(0.1 - bits) of the true value (floor after an evaluation at bits+8)."""
+    2^(0.1 - bits) of the true value (floor after an evaluation at bits+8).
+
+    Memoised: callers pass num/den in lowest terms, so each distinct phase
+    is evaluated once per bits.  from_rational rounds correctly, so an
+    unreduced twin of a phase would give the same integers."""
     c, s = mpf_cos_sin_pi(from_rational(num, den, bits + 8), bits + 8)
     return to_fixed(c, bits), to_fixed(s, bits)
 
 
-# Sizes of the per-modulus caches.  One series evaluation at (p, precision,
+# Sizes of the series caches.  One series evaluation at (p, precision,
 # k_max) builds, for each variant, a phase vector per modulus it sums over:
 # odd k and 2k, multiples of 4 prime to p, and each odd multiple of p once
 # per nonzero sigma_m, 274 at p = 17 and k_max = 222.  Both variants at
 # k_max = 222 hold 548 vectors, 163 root tables and 520 weights; the whole
-# test suite in one process holds 792, 200 and 738, the benchmark at most 370,
-# 110 and 354.  The sizes below never evict there and bound an arbitrary
-# caller.  charsums._twisted_phases keeps no cache of its own: _phase_vector
-# holds its output here, and _lambda_parts the phases lambda(h,k) beneath.
+# test suite in one process holds 894, 215 and 824, the benchmark at most 370,
+# 110 and 354.  The _fixed_cis memo holds 8,161 entries after the benchmark's
+# deepest workload and peaks at 24,817 in the test suite; its 65,536 evict on
+# a cold n = 1000, k_max = 460 run, both signs (75,716 distinct keys).  No
+# other size evicts there, and all bound an arbitrary caller.
+# charsums._twisted_phases keeps no cache of its own: _phase_vector holds
+# its output here, and _lambda_parts the phases lambda(h,k) beneath.
 @lru_cache(maxsize=1024)
 def _root_table(k: int, bits: int) -> tuple:
     """Real and imaginary parts of omega^j = exp(2 pi i j/k), j = 0..k-1,
     as two tuples of integers scaled by 2^bits.  The upper half mirrors the
     lower, omega^(k-j) = conj(omega^j), and shares its cosines."""
-    low = [_fixed_cis(2 * j, k, bits) for j in range(k // 2 + 1)]
+    gs = [math.gcd(2 * j, k) for j in range(k // 2 + 1)]
+    low = [_fixed_cis(2 * j // g, k // g, bits) for j, g in enumerate(gs)]
     high = range(k // 2 + 1, k)
     return (tuple([c for c, _ in low] + [low[k - j][0] for j in high]),
             tuple([s for _, s in low] + [-low[k - j][1] for j in high]))
@@ -620,6 +629,8 @@ def rademacher_eval(ctx: PrimeContext, sign: int, n: int,
     _check_choice("sign", sign, _SIGNS)
     _check_choice("ctx.p", ctx.p, (5, 13, 17))
     _check_int("n", n, 1)
+    if not isinstance(cfg, SeriesEvalConfig):
+        raise ValueError(f"cfg must be a SeriesEvalConfig, got {cfg!r}")
     variant = "plain" if sign == 1 else "dagger"
     p, k_max = ctx.p, cfg.k_max
     prec = cfg.precision

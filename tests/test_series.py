@@ -17,7 +17,7 @@ from legpart.charsums import (_chi_class, _twisted_phases,
 from legpart.context import make_context
 from legpart.series import (FEQ_CASES, THETA_FAMILIES, InconclusiveError,
                             RademacherResult, SeriesEvalConfig, _euler_terms,
-                            _factors, _jacobi_terms, _numeric_sum,
+                            _factors, _fixed_cis, _jacobi_terms, _numeric_sum,
                             _phase_vector, _root_table, _theta_pairs,
                             _theta_quotient, c_sequence, oracle_table,
                             q_pochhammer, q_pochhammer_tail, rademacher_eval,
@@ -623,6 +623,26 @@ def test_rademacher_pinned_values():
         assert r.distance_to_integer.value._mpf_ == dist, (ctx.p, sign, n)
 
 
+def test_rademacher_pinned_deep():
+    # every bit of raw and distance_to_integer at p = 17, n = 1137, k_max =
+    # 150, 128 bits, both signs: deep enough that the phase vectors and root
+    # tables of many moduli share cis values through the _fixed_cis memo
+    cfg = SeriesEvalConfig(k_max=150, precision=128)
+    pins = [
+        (1, -20181443066,
+         (1, 49966832844045912768938482235823715515, -91, 126),
+         (0, 2173289200786366340667941131932924971, -125, 121)),
+        (-1, 0,
+         (1, 71626758056814846916237183686337176895, -237, 126),
+         (0, 71626758056814846916237183686337176895, -237, 126)),
+    ]
+    for sign, rounded, raw, dist in pins:
+        r = rademacher_eval(C17, sign, 1137, cfg)
+        assert r.rounded == rounded, sign
+        assert r.raw.value._mpf_ == raw, sign
+        assert r.distance_to_integer.value._mpf_ == dist, sign
+
+
 def test_rademacher_result_invariant():
     cfg = SeriesEvalConfig(k_max=40, precision=96)
     r = rademacher_eval(C13, 1, 9, cfg)
@@ -668,6 +688,9 @@ def test_rademacher_rejects_out_of_scope():
     for n in (True, False):
         with pytest.raises(ValueError):
             rademacher_eval(C17, 1, n, cfg)
+    for bad in ((60, 128), None):
+        with pytest.raises(ValueError, match="cfg"):
+            rademacher_eval(C17, 1, 5, bad)
 
 
 def test_series_config_validation():
@@ -768,6 +791,58 @@ def test_numeric_sums_are_real():
                     (p, k, n, m, variant)
 
 
+def test_fixed_cis_memo_matches_literal():
+    # the memo against the uncached definition, asking for each phase at
+    # several bits in turn; from_rational rounds correctly, so an unreduced
+    # twin of a phase gives the same integers in every bit
+    literal = _fixed_cis.__wrapped__
+    for den in range(1, 31):
+        for num in range(-den, 2 * den + 1):
+            for bits in (24, 61, 128, 193):
+                want = literal(num, den, bits)
+                assert _fixed_cis(num, den, bits) == want, (num, den, bits)
+                assert literal(2 * num, 2 * den, bits) == want, (num, den, bits)
+
+
+def test_phase_vectors_and_root_tables_match_literal_rebuild():
+    # _phase_vector and _root_table against a per-unit rebuild through the
+    # uncached _fixed_cis: k <= 60 prime to p, and K = p, 3p for every m
+    # with sigma_m != 0, both variants.  Built from a cleared memo, they
+    # evaluate each distinct (reduced phase, bits) once, so the root tables
+    # share entries with each other and with the phase vectors
+    literal = _fixed_cis.__wrapped__
+    wp = 96
+    cases = []
+    for ctx in (C5, C13, C17):
+        p = ctx.p
+        cms = c_sequence(ctx)
+        sig = sigma_coeffs(ctx, 1, len(cms) - 1)
+        cases += [(ctx, k, variant, 0, None) for k in range(1, 61) if k % p
+                  for variant in ("plain", "dagger")]
+        cases += [(ctx, K, variant, m, cls) for K in (p, 3 * p)
+                  for m in range(len(cms)) if sig[m]
+                  for variant, cls in (("plain", 1), ("dagger", -1))]
+    _fixed_cis.cache_clear()
+    keys = set()
+    for ctx, k, variant, m, cls in cases:
+        residues = None if cls is None else _chi_class(ctx, cls)
+        pairs = list(_twisted_phases(ctx.p, variant, k, m, residues))
+        bits = wp + 16 + len(pairs).bit_length()
+        cis = [literal(ph.numerator, ph.denominator, bits) for _, ph in pairs]
+        want = (bits, tuple(h for h, _ in pairs), tuple(c for c, _ in cis),
+                tuple(s for _, s in cis))
+        got = _phase_vector.__wrapped__(ctx.p, k, variant, m, cls, wp)
+        assert got == want, (ctx.p, k, variant, m)
+        M = k if k % 2 == 0 else 2 * k
+        low = [literal(2 * j, M, bits) for j in range(M // 2 + 1)]
+        roots = [low[j] if 2 * j <= M else (low[M - j][0], -low[M - j][1])
+                 for j in range(M)]
+        assert _root_table.__wrapped__(M, bits) == tuple(zip(*roots)), M
+        keys |= {(ph, bits) for _, ph in pairs}
+        keys |= {(Fraction(2 * j, M), bits) for j in range(M // 2 + 1)}
+    assert _fixed_cis.cache_info().misses == len(keys)
+
+
 def test_series_path_caches_are_bounded():
     # every legpart module, so that a cache added anywhere is held to a bound
     found = set()
@@ -779,6 +854,6 @@ def test_series_path_caches_are_bounded():
                 maxsize = obj.cache_parameters()["maxsize"]
                 assert type(maxsize) is int and maxsize > 0, name
                 found.add(name)
-    assert {"_phase_vector", "_root_table", "_weight", "_lambda_parts",
-            "_s_chi_weights", "_t_chi_offset", "make_context",
-            "_prime_factors"} <= found
+    assert {"_fixed_cis", "_phase_vector", "_root_table", "_weight",
+            "_lambda_parts", "_s_chi_weights", "_t_chi_offset",
+            "make_context", "_prime_factors"} <= found
