@@ -32,8 +32,8 @@ from .arith import (
     cyclo_from_phases,
     cyclo_is_zero,
 )
-from .context import (PrimeContext, _csc_product, make_context, norm_mod,
-                      power_class)
+from .context import (PrimeContext, _check_ctx, _csc_product, make_context,
+                      norm_mod, power_class)
 from .dedekind import (_dedekind_s_12k, _phi, _s_chi_numerators,
                        _s_chi_weights)
 
@@ -132,6 +132,7 @@ def lambda_exponent(ctx: PrimeContext, h: int, k: int,
     plain:  s_chi(h,k) - s_chi(2h,k)/2 + {s(2h,k) - s(2hp,k)}/2
     dagger: s_chi(2h,k)/2 - s_chi(h,k) + {s(2h,k) - s(2hp,k)}/2
     """
+    _check_ctx(ctx)
     _check_choice("variant", variant, VARIANTS)
     _check_int("h", h)
     _check_int("k", k, 1)
@@ -191,6 +192,7 @@ def lambda_k(ctx: PrimeContext, k: int, variant: str = "plain",
     a cosecant product, and even k pick up a ratio over the other class;
     the dagger variant swaps the roles of the two classes.
     """
+    _check_ctx(ctx)
     _check_choice("variant", variant, VARIANTS)
     _check_int("k", k, 1)
     prec = _precision(precision)
@@ -258,6 +260,7 @@ def kloosterman_L(ctx: PrimeContext, k: int, n: int,
     """Complete sum over invertible h mod k of the phase multiplier times
     exp(-2 pi i n h / k), as an exact cyclotomic integer.  Needs p coprime
     to k; the h=0 term makes the k=1 sum exactly 1."""
+    _check_ctx(ctx)
     _check_choice("variant", variant, VARIANTS)
     _check_int("k", k, 1)
     if k % ctx.p == 0:

@@ -57,6 +57,14 @@ class QConstants:
     q_big: HPReal   # (q_r / q_s)^2
 
 
+def _check_ctx(ctx) -> None:
+    """The one guard on context arguments: raise ValueError naming ctx
+    unless it is a PrimeContext.  Public entry points call it first, before
+    reading ctx.p or any memo keyed by it."""
+    if not isinstance(ctx, PrimeContext):
+        raise ValueError(f"ctx must be a PrimeContext, got {ctx!r}")
+
+
 def _is_prime(n: int) -> bool:
     # _prime_factors(n) is empty for n < 2
     return _prime_factors(n) == ((n, 1),)

@@ -5,9 +5,9 @@ as a factor table in _factors.  The oracle side works in pure integer
 arithmetic: oracle_table (Phi, PhiDagger) and sigma_coeffs (S+-) expand
 their tables as the theta quotient (x^M; x^M)_inf^r / prod_a J_a, whose
 factors have O(sqrt(n/M)) terms each (_theta_quotient).  The numeric side
-(q-Pochhammer and theta products from the same tables, transformation
-checks, series evaluation) runs on mpmath at a caller-chosen precision and
-reuses the exact phases from charsums.
+(q-Pochhammer and theta products from the same tables through one libmpc
+kernel, transformation checks, series evaluation) runs on mpmath at a
+caller-chosen precision and reuses the exact phases from charsums.
 
 The series evaluates its exponential sums per modulus k, not per (k, n):
 the phases z_h and the k-th roots of unity do not depend on n, so each is
@@ -26,15 +26,17 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, from_rational, mpf_cos_sin_pi, to_fixed
+from mpmath.libmp import (fone, from_man_exp, from_rational, fzero, mpc_add,
+                          mpc_mul, mpc_sub, mpf_cos_sin_pi, to_fixed)
 
 from .arith import (HPComplex, HPReal, _check_choice, _check_int, _precision,
                     bessel_i1, default_precision, to_mpf)
 from .charsums import (VARIANTS, _chi_class, _twisted_phases, lambda_exponent,
                        lambda_k)
-from .context import PrimeContext, make_context
+from .context import PrimeContext, _check_ctx, make_context
 
 _SIGNS = (1, -1)
+_ONE = (fone, fzero)  # the raw mpc 1
 
 THETA_FAMILIES = ("R+", "R-", "S+", "S-", "T+", "T-", "U+", "U-",
                   "F_r", "F_s", "G_r", "G_s", "Phi", "PhiDagger")
@@ -238,6 +240,7 @@ def oracle_table(ctx: PrimeContext, sign: int, n_max: int,
     (_theta_quotient).  A seeded rng shuffles the order of its J_a
     divisions; the table does not depend on it.
     """
+    _check_ctx(ctx)
     _check_choice("sign", sign, _SIGNS)
     _check_int("n_max", n_max, 1)
     if rng is not None and not isinstance(rng, random.Random):
@@ -254,6 +257,7 @@ def scan_vanishing(ctx: PrimeContext, sign: int, modulus: int,
     The oracle table is built once.  A residue only qualifies if the range
     actually contains members of its class; an empty class is no evidence.
     """
+    _check_ctx(ctx)
     _check_int("modulus", modulus, 1)
     _check_int("n_min", n_min, 1)
     _check_int("n_max", n_max, n_min)
@@ -275,6 +279,7 @@ def sigma_coeffs(ctx: PrimeContext, sign: int, m_max: int) -> list:
     exponents are the factor table of S+ (sign +1) or S- (sign -1), expanded
     as a theta quotient with M = 2p (_theta_quotient).
     """
+    _check_ctx(ctx)
     _check_choice("sign", sign, _SIGNS)
     _check_int("m_max", m_max, 0)
     return _theta_quotient(_factors(ctx, "S+" if sign == 1 else "S-"), m_max)
@@ -311,14 +316,27 @@ def _poch_tail_bound(z, q, truncation: int):
     return head / ((1 - qa) * (1 - head))
 
 
-def _poch_partial(z, q, truncation: int):
-    """Partial product prod_{j<N} (1 - z q^j) and its _poch_tail_bound."""
-    val = mp.mpc(1)
-    zq = mp.mpc(z)
+def _poch_partial(z, q, truncation: int, twin: bool = False):
+    """Partial product prod_{j<N} (1 - z q^j), with twin also that of -z
+    (else None), and the _poch_tail_bound both share.
+
+    The loop makes on raw _mpc_ tuples the libmpc calls of the mpc-object
+    loop val *= 1 - zq; zq *= q, at mp's precision and rounding, so each
+    product is that loop's bit for bit.  Negation is exact and mp rounds to
+    nearest, which is sign-symmetric, so the chain of -z is the negated
+    chain of z, and 1 - (-z q^j) is mpc_add(1, z q^j).
+    """
+    prec, rnd = mp._prec_rounding
+    val = twin_val = _ONE
+    zq, qq = mp.mpc(z)._mpc_, mp.mpc(q)._mpc_
     for _ in range(truncation):
-        val *= (1 - zq)
-        zq *= q
-    return val, _poch_tail_bound(z, q, truncation)
+        val = mpc_mul(val, mpc_sub(_ONE, zq, prec, rnd), prec, rnd)
+        if twin:
+            twin_val = mpc_mul(twin_val, mpc_add(_ONE, zq, prec, rnd), prec,
+                               rnd)
+        zq = mpc_mul(zq, qq, prec, rnd)
+    return (mp.make_mpc(val), mp.make_mpc(twin_val) if twin else None,
+            _poch_tail_bound(z, q, truncation))
 
 
 def _poch_at(z, q, truncation: int, part, wrap):
@@ -381,15 +399,50 @@ def _theta_pairs(ctx: PrimeContext, family: str, x):
     return pairs
 
 
-def _theta_value(ctx: PrimeContext, family: str, x, truncation: int):
-    """Numeric product of inverse Pochhammers plus a summed tail bound."""
-    value = mp.mpc(1)
+def _theta_product(ctx: PrimeContext, family: str, x, truncation: int,
+                   twin: bool) -> tuple:
+    """Numeric product of inverse Pochhammers, with twin also that of the
+    family whose every z is negated (else 1), plus the summed tail bound
+    both share."""
+    value = twin_value = mp.mpc(1)
     tail = mp.mpf(0)
     for z, q in _theta_pairs(ctx, family, x):
-        part, bound = _poch_partial(z, q, truncation)
+        part, twin_part, bound = _poch_partial(z, q, truncation, twin)
         value /= part
+        if twin:
+            twin_value /= twin_part
         tail += bound
-    return value, tail
+    return value, twin_value, tail
+
+
+# The twin of each base family has the base's (z, q) pairs, in order, with
+# every z negated; the tests pin both pair lists against literal ones.
+_TWINS = {"Phi": "PhiDagger", "R+": "R-", "T+": "T-", "F_r": "G_r",
+          "F_s": "G_s"}
+_BASE = {**{b: b for b in _TWINS}, **{t: b for b, t in _TWINS.items()}}
+
+
+# One FEQ point evaluates plain and dagger at the same x and x~, so each
+# entry is read twice: the full feq suite makes 18 misses and 18 hits and
+# holds 18 entries, and the whole test suite in one process peaks at 27.
+# 64 never evicts there and bounds an arbitrary caller.
+@lru_cache(maxsize=64)
+def _twin_products(ctx: PrimeContext, base: str, x: tuple, truncation: int,
+                   prec: int, rounding: str) -> tuple:
+    """_theta_product of a base family and its twin at x = make_mpc(x),
+    memoised per precision and rounding, the mp state it runs at."""
+    return _theta_product(ctx, base, mp.make_mpc(x), truncation, True)
+
+
+def _theta_value(ctx: PrimeContext, family: str, x, truncation: int):
+    """Numeric product of inverse Pochhammers plus a summed tail bound."""
+    base = _BASE.get(family)
+    if base is None:
+        value, _, tail = _theta_product(ctx, family, x, truncation, False)
+        return value, tail
+    value, twin_value, tail = _twin_products(ctx, base, x._mpc_, truncation,
+                                             *mp._prec_rounding)
+    return (value if family == base else twin_value), tail
 
 
 def theta_products(ctx: PrimeContext, family: str, x,
@@ -401,6 +454,7 @@ def theta_products(ctx: PrimeContext, family: str, x,
     sign-alternating class products, Phi and PhiDagger the two full
     generating functions.  Requires |x| < 1.
     """
+    _check_ctx(ctx)
     _check_choice("family", family, THETA_FAMILIES)
     _check_int("truncation", truncation, 1)
     prec = _carried_prec(x)
@@ -437,6 +491,7 @@ def verify_functional_equation(ctx: PrimeContext, case: str, h: int, k: int,
     appears.  Raises InconclusiveError when the combined truncation tail is
     too large for the comparison to mean anything at this precision.
     """
+    _check_ctx(ctx)
     _check_choice("case", case, FEQ_CASES)
     _check_choice("variant", variant, VARIANTS)
     _check_int("h", h)
@@ -626,6 +681,7 @@ def rademacher_eval(ctx: PrimeContext, sign: int, n: int,
     the i.  Without the factor the partial sums converge to the oracle
     values divided by 2*pi; with it they round to the exact integers.
     """
+    _check_ctx(ctx)
     _check_choice("sign", sign, _SIGNS)
     _check_choice("ctx.p", ctx.p, (5, 13, 17))
     _check_int("n", n, 1)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from legpart.charsums import kloosterman_L, lambda_exponent, lambda_k
 from legpart.context import (
     legendre,
     make_context,
@@ -13,6 +14,9 @@ from legpart.context import (
     q_constants,
     quartic_class,
 )
+from legpart.series import (SeriesEvalConfig, oracle_table, rademacher_eval,
+                            scan_vanishing, sigma_coeffs, theta_products,
+                            verify_functional_equation)
 
 
 def b1_chi(ctx, y) -> Fraction:
@@ -221,3 +225,23 @@ def test_q_constants_match_literal_products_bitwise():
             want = _literal_q_constants(ctx, prec)
             got = (qc.q_r.value, qc.q_s.value, qc.q_big.value)
             assert [x._mpf_ for x in got] == [x._mpf_ for x in want], (p, prec)
+
+
+@pytest.mark.parametrize("ctx", [None, 17])
+def test_public_entry_points_reject_a_non_context(ctx):
+    # every public entry point that takes a context, with its other
+    # arguments valid
+    calls = [
+        lambda: rademacher_eval(ctx, 1, 1, SeriesEvalConfig(10, 64)),
+        lambda: oracle_table(ctx, 1, 10),
+        lambda: sigma_coeffs(ctx, 1, 5),
+        lambda: theta_products(ctx, "Phi", 0.5, 10),
+        lambda: scan_vanishing(ctx, 1, 34, 1, 100),
+        lambda: verify_functional_equation(ctx, "1", 1, 1, 1),
+        lambda: kloosterman_L(ctx, 1, 1),
+        lambda: lambda_k(ctx, 1),
+        lambda: lambda_exponent(ctx, 1, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"ctx must be a PrimeContext"):
+            call()

@@ -18,11 +18,13 @@ from legpart.context import make_context
 from legpart.series import (FEQ_CASES, THETA_FAMILIES, InconclusiveError,
                             RademacherResult, SeriesEvalConfig, _euler_terms,
                             _factors, _fixed_cis, _jacobi_terms, _numeric_sum,
-                            _phase_vector, _root_table, _theta_pairs,
-                            _theta_quotient, c_sequence, oracle_table,
+                            _phase_vector, _poch_partial, _poch_tail_bound,
+                            _root_table, _theta_pairs, _theta_quotient,
+                            _twin_products, c_sequence, oracle_table,
                             q_pochhammer, q_pochhammer_tail, rademacher_eval,
                             scan_vanishing, sigma_coeffs, theta_products,
                             verify_functional_equation)
+from legpart import verify
 
 C5 = make_context(5)
 C13 = make_context(13)
@@ -504,6 +506,63 @@ def test_theta_pairs_match_literal_definition(p):
                         assert q._mpc_ == q0._mpc_, (prec, family)
 
 
+def _literal_poch(z, q, truncation):
+    """prod_{j<N} (1 - z q^j) by the mpc-object loop, at mp's precision."""
+    val = mp.mpc(1)
+    zq = mp.mpc(z)
+    for _ in range(truncation):
+        val *= (1 - zq)
+        zq *= q
+    return val
+
+
+def test_poch_kernel_matches_literal_loop():
+    # every bit of both products of the libmpc kernel against the literal
+    # loop at z and -z, and the one tail bound against both
+    for prec in (96, 176, 240):
+        with mp.workprec(prec):
+            x = mp.mpf("0.41") * mp.expjpi(mp.mpf(2) / 7)
+            cases = [(x ** 3, x ** 17), (mp.mpc("0.3", "0.2"), x),
+                     (mp.mpc("0.5"), mp.mpc("0.5")), (mp.mpc(0), x),
+                     (mp.mpc("-0.9", "0.4"), mp.mpc("0.2", "-0.7"))]
+            for z, q in cases:
+                for truncation in (0, 1, 37, 200):
+                    want = _literal_poch(z, q, truncation)
+                    mirror = _literal_poch(-z, q, truncation)
+                    bound = _poch_tail_bound(z, q, truncation)
+                    assert _poch_tail_bound(-z, q, truncation) == bound
+                    one, none, b1 = _poch_partial(z, q, truncation)
+                    got, twin, b2 = _poch_partial(z, q, truncation, True)
+                    assert none is None
+                    assert one._mpc_ == got._mpc_ == want._mpc_, (prec, z)
+                    assert twin._mpc_ == mirror._mpc_, (prec, z)
+                    assert b1 == b2 == bound
+
+
+@pytest.mark.parametrize("p", (5, 17))
+def test_theta_products_match_literal_product(p):
+    # all 14 families bit for bit against the literal pair lists, with each
+    # twin family asked for first and second from a cleared memo
+    ctx = make_context(p)
+    for prec, xv in ((96, mp.mpc("0.3", "0.2")),
+                     (160, mp.mpf("0.41") * mp.expjpi(mp.mpf(2) / 7))):
+        x = HPComplex(xv, prec)
+        want = {}
+        with mp.workprec(prec + 24):
+            for family in THETA_FAMILIES:
+                value = mp.mpc(1)
+                for z, q in _literal_theta_pairs(ctx, family, mp.mpc(xv)):
+                    value /= _literal_poch(z, q, 40)
+                with mp.workprec(prec):
+                    want[family] = (+value)._mpc_
+        for order in (THETA_FAMILIES, THETA_FAMILIES[::-1]):
+            _twin_products.cache_clear()
+            for family in order:
+                got = theta_products(ctx, family, x, 40)
+                assert got.value._mpc_ == want[family], (prec, family)
+            assert _twin_products.cache_info().misses == 5
+
+
 def test_theta_rejects_outside_disk():
     with pytest.raises(ValueError):
         theta_products(C5, "Phi", HPComplex(mp.mpc(1.01), 64), 50)
@@ -539,6 +598,101 @@ def test_feq_all_cases_both_variants():
             r = verify_functional_equation(ctx, case, h, k, z, 200, 128,
                                            variant=variant)
             assert float(r.value) < 1e-9, (ctx.p, case, h, k, variant)
+
+
+# each full-scale feq point (case, p, h, k, z) in the order of the suite,
+# then every bit of the residual and the printed witness value for plain and
+# for dagger
+FEQ_PINS = [
+    ("2p", 5, 1, 10, "1",
+     ((0, 258073731670913580172118111261641578043, -289, 128),
+      "2.595e-49"),
+     ((0, 1808133612252502690209134090757437625, -282, 121),
+      "2.327e-49")),
+    ("2p", 17, 5, 34, "1.2",
+     ((0, 156253480988014274439962650420902078837, -283, 127),
+      "1.005e-47"),
+     ((0, 62812108848934301685259857368088477329, -282, 126),
+      "8.083e-48")),
+    ("2p", 13, 3, 26, "1",
+     ((0, 160663199289929775396595200856112827819, -284, 127),
+      "5.169e-48"),
+     ((0, 285047187163970417468057620887033469321, -283, 128),
+      "1.834e-47")),
+    ("p", 5, 2, 5, "1",
+     ((0, 21160925712583257215001940209514775835, -280, 124),
+      "1.089e-47"),
+     ((0, 266802727801900420171726498396765384535, -287, 128),
+      "1.073e-48")),
+    ("p", 13, 1, 13, "1",
+     ((0, 31149912185273636342654266090499409869, -280, 125),
+      "1.603e-47"),
+     ((0, 49783065778726622610058061309674661821, -282, 126),
+      "6.407e-48")),
+    ("p", 17, 1, 17, "1",
+     ((0, 283138692665349746686283080695162418487, -285, 128),
+      "4.555e-48"),
+     ((0, 212933344077478641890238854655525623975, -284, 128),
+      "6.851e-48")),
+    ("2", 5, 3, 4, "0.5",
+     ((0, 290071148396381490249988617235759968043, -283, 128),
+      "1.866e-47"),
+     ((0, 251933052581099239231229691751949305025, -282, 128),
+      "3.242e-47")),
+    ("2", 17, 1, 2, "0.6",
+     ((0, 162612976936695377746788165345289371991, -215, 127),
+      "3.088e-27"),
+     ((0, 325225953873390755485148219714288409271, -216, 128),
+      "3.088e-27")),
+    ("2", 13, 1, 4, "0.28",
+     ((0, 116885471531140461673158060225784502219, -250, 127),
+      "6.460e-38"),
+     ((0, 116885471496723888972078712166161925749, -250, 127),
+      "6.460e-38")),
+    ("1", 17, 1, 1, "1",
+     ((0, 185077692580962318300378905217310730503, -232, 128),
+      "2.682e-32"),
+     ((0, 166343082056627978121492116876703559707, -233, 127),
+      "1.205e-32")),
+    ("1", 5, 1, 3, "0.8",
+     ((0, 289944495832881311186965635410454948221, -279, 128),
+      "2.985e-46"),
+     ((0, 173444219031572803722340528596993064373, -278, 128),
+      "3.571e-46")),
+    ("1", 13, 2, 3, "0.2",
+     ((0, 78769040989439900848974814587719480037, -280, 126),
+      "4.055e-47"),
+     ((0, 136683950908319275091420236268425263797, -283, 127),
+      "8.795e-48")),
+]
+
+
+def test_feq_suite_pinned_residuals(monkeypatch):
+    # one full-scale feq suite from a cleared memo, plain then dagger at each
+    # of the 12 points: the mirrored products (Phi/PhiDagger at x, R+-/T+-
+    # at x~ in cases 2p and 2) miss once and hit once; S+- and U+- run
+    # outside the memo
+    residuals = []
+
+    def recorded(*args, **kwargs):
+        r = verify_functional_equation(*args, **kwargs)
+        residuals.append(r.value._mpf_)
+        return r
+
+    monkeypatch.setattr(verify, "verify_functional_equation", recorded)
+    _twin_products.cache_clear()
+    checks = verify.suite_feq("full")
+    info = _twin_products.cache_info()
+    assert (info.misses, info.hits) == (18, 18)
+    want_checks, want_residuals = [], []
+    for case, p, h, k, z, *pins in FEQ_PINS:
+        for variant, (mpf, r) in zip(("plain", "dagger"), pins):
+            want_checks.append({
+                "id": f"feq.case{case}.p{p}.h{h}.k{k}.{variant}",
+                "status": "pass", "witness": f"residual {r} at z={z}"})
+            want_residuals.append(mpf)
+    assert checks == want_checks
+    assert residuals == want_residuals
 
 
 def test_feq_rejects_bad_parameters():
@@ -855,5 +1009,5 @@ def test_series_path_caches_are_bounded():
                 assert type(maxsize) is int and maxsize > 0, name
                 found.add(name)
     assert {"_fixed_cis", "_phase_vector", "_root_table", "_weight",
-            "_lambda_parts", "_s_chi_weights", "_t_chi_offset",
-            "make_context", "_prime_factors"} <= found
+            "_twin_products", "_lambda_parts", "_s_chi_weights",
+            "_t_chi_offset", "make_context", "_prime_factors"} <= found
