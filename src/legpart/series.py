@@ -424,7 +424,7 @@ _BASE = {**{b: b for b in _TWINS}, **{t: b for b, t in _TWINS.items()}}
 
 # One FEQ point evaluates plain and dagger at the same x and x~, so each
 # entry is read twice: the full feq suite makes 18 misses and 18 hits and
-# holds 18 entries, and the whole test suite in one process peaks at 27.
+# holds 18 entries, and the whole test suite in one process peaks at 38.
 # 64 never evicts there and bounds an arbitrary caller.
 @lru_cache(maxsize=64)
 def _twin_products(ctx: PrimeContext, base: str, x: tuple, truncation: int,

@@ -542,25 +542,30 @@ def test_poch_kernel_matches_literal_loop():
 @pytest.mark.parametrize("p", (5, 17))
 def test_theta_products_match_literal_product(p):
     # all 14 families bit for bit against the literal pair lists, with each
-    # twin family asked for first and second from a cleared memo
+    # twin family asked for first and second from a cleared memo, and each x
+    # at two precisions: the same x._mpc_ must not share a memo entry
     ctx = make_context(p)
-    for prec, xv in ((96, mp.mpc("0.3", "0.2")),
-                     (160, mp.mpf("0.41") * mp.expjpi(mp.mpf(2) / 7))):
-        x = HPComplex(xv, prec)
-        want = {}
+    xs = (mp.mpc("0.3", "0.2"), mp.mpf("0.41") * mp.expjpi(mp.mpf(2) / 7))
+    want = {}
+    for prec in (96, 160):
         with mp.workprec(prec + 24):
-            for family in THETA_FAMILIES:
-                value = mp.mpc(1)
-                for z, q in _literal_theta_pairs(ctx, family, mp.mpc(xv)):
-                    value /= _literal_poch(z, q, 40)
-                with mp.workprec(prec):
-                    want[family] = (+value)._mpc_
-        for order in (THETA_FAMILIES, THETA_FAMILIES[::-1]):
-            _twin_products.cache_clear()
-            for family in order:
-                got = theta_products(ctx, family, x, 40)
-                assert got.value._mpc_ == want[family], (prec, family)
-            assert _twin_products.cache_info().misses == 5
+            for i, xv in enumerate(xs):
+                for family in THETA_FAMILIES:
+                    value = mp.mpc(1)
+                    for z, q in _literal_theta_pairs(ctx, family, mp.mpc(xv)):
+                        value /= _literal_poch(z, q, 30)
+                    with mp.workprec(prec):
+                        want[prec, i, family] = (+value)._mpc_
+    for order in (THETA_FAMILIES, THETA_FAMILIES[::-1]):
+        _twin_products.cache_clear()
+        for prec in (96, 160):
+            for i, xv in enumerate(xs):
+                for family in order:
+                    got = theta_products(ctx, family, HPComplex(xv, prec), 30)
+                    assert got.value._mpc_ == want[prec, i, family], (
+                        prec, i, family)
+        # the five base families, at two x and two precisions
+        assert _twin_products.cache_info().misses == 20
 
 
 def test_theta_rejects_outside_disk():
