@@ -34,8 +34,7 @@ from .arith import (
 )
 from .context import (PrimeContext, _check_ctx, _csc_product, make_context,
                       norm_mod, power_class)
-from .dedekind import (_dedekind_s_12k, _phi, _s_chi_numerators,
-                       _s_chi_weights)
+from .dedekind import _chi_table, _dedekind_s_12k, _phi, _s_chi_cleared
 
 __all__ = [
     "PhaseExponent",
@@ -90,12 +89,12 @@ class TauCount:
 
 
 # One row per (prime, modulus k), shared by both signs: 267 for one series at
-# p = 17 and k_max = 222, 181 after the series_deep benchmark, 384 after the
+# p = 17 and k_max = 222, 181 after the series_deep benchmark, 526 after the
 # whole test suite in one process, so 2048, the size of series._phase_vector,
 # never evicts there.  The exact sums are not cached, so each one reads its
 # phases from here again.  One lambda_exponent at a new modulus pays for the
-# whole row: O(a) int steps per distinct s_chi argument a <= k/2, O(log k)
-# per classical sum, and two Fractions per unit h <= k/2.
+# whole row: O(min(a, k - a)) int steps per distinct s_chi argument a mod k,
+# O(log k) per classical sum, and two Fractions per unit h <= k/2.
 @lru_cache(maxsize=2048)
 def _lambda_parts(p: int, k: int) -> tuple:
     """The finished phases (plain, dagger) of every h mod k, by the formulas
@@ -103,19 +102,25 @@ def _lambda_parts(p: int, k: int) -> tuple:
     the k=1 row is the single spoke h=0.
 
     The row is built in ints over one denominator 24 phi k^2: each s_chi
-    is its numerator 4 k phi k s_chi, computed once per distinct argument
-    mod k, and s(2h,k) - s(2hp,k) is 12 k times itself, by reciprocity.
+    is its numerator 4 k phi k s_chi, computed once per pair a, k - a of
+    arguments mod k, as it is odd in a (so 0 at a = k/2), and
+    s(2h,k) - s(2hp,k) is 12 k times itself, by reciprocity.
     Every part is odd in h, so only h <= k/2 is computed and
     row[k-h] = -row[h].
     """
     phi = _phi(p, k)
-    s_chi = _s_chi_numerators(_s_chi_weights(make_context(p).chi, k), k)
+    table = _chi_table(make_context(p).chi, k)
+    s_chi = {}
     den = 24 * phi * k * k
     row = [None] * k
     for h in range(k // 2 + 1):
         if math.gcd(h, k) != 1:
             continue
-        twisted = 6 * s_chi(h) - 3 * s_chi(2 * h)
+        for a in (h, 2 * h % k):
+            if a not in s_chi:
+                s_chi[a] = _s_chi_cleared(table, a)
+                s_chi[k - a] = -s_chi[a]
+        twisted = 6 * s_chi[h] - 3 * s_chi[2 * h % k]
         tail = phi * k * (_dedekind_s_12k(2 * h, k)
                           - _dedekind_s_12k(2 * h * p, k))
         plain = Fraction(twisted + tail, den)
@@ -172,6 +177,7 @@ def phi_root(ctx: PrimeContext, h: int, k: int, variant: str = "plain") -> Fract
     accepts non-coprime pairs, where the scaling law phase(qh,qk) =
     phase(h,k) applies.
     """
+    _check_ctx(ctx)
     _check_choice("variant", variant, VARIANTS)
     _check_int("h", h)
     _check_int("k", k, 1)
@@ -288,6 +294,7 @@ def kloosterman_L_plus(ctx: PrimeContext, K: int, n: int,
                        m: int) -> KloostermanSum:
     """Restriction of the complete sum to h in the quadratic class, with the
     extra inverse twist exp(-2 pi i m (2h)^{-1} / K).  K odd, p | K."""
+    _check_ctx(ctx)
     _require_odd_multiple(ctx, K)
     total = _twisted_sum(ctx, "plain", K, n, m, _chi_class(ctx, 1))
     return KloostermanSum(total, "L_plus", (("K", K), ("n", n), ("m", m)))
@@ -297,6 +304,7 @@ def kloosterman_L_nmd(ctx: PrimeContext, k: int, n: int, m: int, d: int,
                       variant: str = "plain") -> KloostermanSum:
     """Class sum over h = d (mod p): the inverse twist is m h^{-1} when
     2p | k and m (2h)^{-1} when k is an odd multiple of p."""
+    _check_ctx(ctx)
     _check_choice("variant", variant, VARIANTS)
     _check_int("k", k, 1)
     if k % ctx.p != 0:
@@ -317,6 +325,7 @@ def kloosterman_dagger(ctx: PrimeContext, k: int, n: int,
     k an odd multiple of p: restriction to the nonquadratic class with the
     inverse twist, so m is required.
     """
+    _check_ctx(ctx)
     _check_int("k", k, 1)
     if k % ctx.p != 0:
         if m is not None:
@@ -334,18 +343,14 @@ def tau_count(ctx: PrimeContext, h: int, K: int, pair: str) -> TauCount:
     """Count 0 < mu < K with p coprime to mu, mu of the named parity and
     quadratic class, and h mu reduced mod K odd.  K itself must be an odd
     multiple of p, and h invertible mod K."""
+    _check_ctx(ctx)
     _check_choice("pair", pair, TAU_PAIRS)
     _require_unit(ctx, h, K)
-    p = ctx.p
-    want_parity = 0 if pair[0] == "e" else 1
     want_class = 1 if pair[1] == "r" else -1
     count = 0
-    for mu in range(1, K):
-        if mu % 2 != want_parity or mu % p == 0:
-            continue
-        if ctx.chi[mu % p] != want_class:
-            continue
-        if (h * mu) % K % 2 == 1:
+    for mu in range(2 if pair[0] == "e" else 1, K, 2):
+        # chi(mu) = 0 when p | mu, so the class test also skips those mu
+        if ctx.chi[mu % ctx.p] == want_class and h * mu % K % 2:
             count += 1
     return TauCount(count, pair)
 
@@ -368,6 +373,7 @@ def check_congruence_mod16(ctx: PrimeContext, h: int, K: int,
     formula's 2(2h-1)(p-1) only matches when 16 divides p-1; the extra
     (p-1) is needed for the other primes and is invisible at p=17.
     """
+    _check_ctx(ctx)
     _check_choice("variant", variant, VARIANTS)
     _require_unit(ctx, h, K)
     p = ctx.p
@@ -387,6 +393,7 @@ def check_congruence_modThK(ctx: PrimeContext, h: int, K: int,
     does not divide K the cleared exponent must also vanish mod 3; both
     parts must hold for a True result.
     """
+    _check_ctx(ctx)
     _check_choice("variant", variant, VARIANTS)
     _require_unit(ctx, h, K)
     p = ctx.p
@@ -429,6 +436,7 @@ def verify_tau_table(ctx: PrimeContext, K_max: int) -> dict:
     K_max and every invertible h.  Returns a report dict with the check
     count, a witness list of failures, and an overall ok flag.  K_max must
     be an int of at least p, so that at least K = p is checked."""
+    _check_ctx(ctx)
     _check_int("K_max", K_max, ctx.p)
     expected = _tau_expect_table(ctx)
     checks = 0

@@ -54,19 +54,24 @@ def format_scan_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write(path, text) -> bool:
+    """Write text to the file path; False after reporting that it cannot."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _emit(path, text) -> int:
     """Write text to path, or to stdout for None and "-".  Returns the exit
     code: 0, or 1 after reporting a path that cannot be written."""
     if path in (None, "-"):
         sys.stdout.write(text)
         return 0
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    return 0 if _write(path, text) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +130,7 @@ def cmd_verify(args) -> int:
             "series_primes": list(SERIES_PRIMES),
         },
     }
-    try:
-        with open(args.report, "w", encoding="utf-8", newline="") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        print(f"error: cannot write {args.report}: {exc}", file=sys.stderr)
+    if not _write(args.report, json.dumps(report, indent=2) + "\n"):
         return 4
 
     if counts["fail"]:

@@ -145,12 +145,14 @@ def make_context(p: int) -> PrimeContext:
 
 def legendre(ctx: PrimeContext, a: int) -> int:
     """Legendre symbol (a|p), zero on multiples of p."""
+    _check_ctx(ctx)
     _check_int("a", a)
     return ctx.chi[a % ctx.p]
 
 
 def power_class(ctx: PrimeContext, a: int) -> int:
     """Index j in 0..3 with a = g^(4k+j) mod p; needs p !| a."""
+    _check_ctx(ctx)
     _check_int("a", a)
     a = a % ctx.p
     if a == 0:
@@ -161,6 +163,7 @@ def power_class(ctx: PrimeContext, a: int) -> int:
 def quartic_class(ctx: PrimeContext, a: int) -> str:
     """Classify a mod p as quartic / quadratic-nonquartic / nonquadratic,
     or zero on multiples of p."""
+    _check_ctx(ctx)
     _check_int("a", a)
     if a % ctx.p == 0:
         return "zero"
@@ -189,6 +192,7 @@ def _csc_product(p: int, residues):
 
 def q_constants(ctx: PrimeContext, prec: int | None = None) -> QConstants:
     """Cosecant products 2^(-(p-1)/4) prod csc(pi a / p) over each class."""
+    _check_ctx(ctx)
     prec = _precision(prec)
     with mp.workprec(prec + 16):
         qr = _csc_product(ctx.p, ctx.r_set)

@@ -1,21 +1,21 @@
 """Dedekind sums, their Legendre-character twists, and reciprocity laws.
 
-Every public sum is exact, and each is literal or regrouped:
+Every public sum is exact:
 
 - dedekind_s, dedekind_t, dedekind_s_tilde and lattice_floor_sum are
   literal loops.  dedekind_s stays literal on purpose:
   verify_reciprocity_classical and the scaling checks test the reciprocity
   law against it, so it must not be computed from that law.
-- dedekind_s_chi and dedekind_t_chi are regrouped per modulus: each splits
-  mu by its class mod k and reads one weight table per modulus (see
-  _s_chi_weights; t_chi adds the one int _t_chi_offset), so each call costs
-  O(k) instead of O(pk).  t_chi is not derived from s_chi through their
-  linkage law, which the verify suite tests.
+- dedekind_s_chi and dedekind_t_chi read one cached table per modulus
+  (_chi_table: the suffix sums of the class weights W_k, their moment and
+  the t_chi offset B_k) through one integer floor-sum kernel, _floor_sum,
+  which costs O(min(a, k - a)) steps at a = h mod k.  The phase rows of
+  charsums read the same cleared s_chi, _s_chi_cleared.  t_chi is not
+  derived from s_chi through their linkage law, which the verify suite
+  tests.
 
-Two private fast forms feed the per-modulus phase rows of charsums:
-_dedekind_s_12k, the classical sum by reciprocity along the Euclid chain in
-O(log k) int steps, and _s_chi_numerators, the cleared s_chi of one modulus
-at O(a) steps per argument a <= k/2, read from the same weight table.
+The phase rows also read _dedekind_s_12k, the classical sum by reciprocity
+along the Euclid chain in O(log k) int steps.
 
 The sawtooth and character factors are cleared to a common denominator
 first, so the inner loops are pure integer arithmetic and the results are
@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .arith import _check_int
-from .context import PrimeContext
+from .context import PrimeContext, _check_ctx
 
 __all__ = [
     "dedekind_s",
@@ -94,102 +94,89 @@ def _phi(p: int, k: int) -> int:
     return 1 if k % p == 0 else p
 
 
-# One entry per (prime, k); it feeds s_chi, the phase rows and t_chi.  The
+# One entry per (prime, k); it feeds s_chi, t_chi and the phase rows.  The
 # series at k_max sums over the moduli k and 2k for odd k <= k_max, so it
 # reaches 2k <= 442 at k_max = 222, though only 267 distinct moduli at
 # p = 17; the verify suites reach k <= 20p for the primes 5, 13 and 17.
-# `legpart verify --suite all --scale full` leaves 357 keys here and 309 in
-# _t_chi_offset; the whole test suite, run in one process, 558 and 410.
-# 1024 never evicts there, and still bounds an arbitrary caller.
+# `legpart verify --suite all --scale full` leaves 357 keys here; the whole
+# test suite, run in one process, 558.  1024 never evicts there, and still
+# bounds an arbitrary caller.
 @lru_cache(maxsize=1024)
-def _s_chi_weights(chi: tuple, k: int) -> tuple:
-    """W_k[r] = sum chi(mu) (2 mu - phi k) over 0 < mu < phi k, mu = r (mod k).
+def _chi_table(chi: tuple, k: int) -> tuple:
+    """(tails, moment, B_k) for one modulus k, where chi is the character
+    table of p (so p = len(chi)) and phi = _phi(p, k):
 
-    chi is the character table of p (so p = len(chi)) and phi = _phi(p, k).
-    The sawtooth ((h mu / k)) of s_chi depends on mu only through mu mod k,
-    so grouping the terms of s_chi by r = mu mod k gives
-    4 k phi k s_chi(h,k) = sum_{r=1}^{k-1} (2a - k) W_k[r], a = h r mod k
-    (terms with a = 0 vanish), for every integer h.
+    - tails[j] = sum_{j <= r < k} W_k[r], for the class weights
+      W_k[r] = sum chi(mu) (2 mu - phi k) over 0 < mu < phi k, mu = r (mod k);
+    - moment = sum_{0 < r < k} r W_k[r];
+    - B_k = sum j (r + jk) chi(r + jk) over 0 <= r < k and 0 <= j < phi.
 
-    Closed forms, O(p^2 + k) in all: for p | k, mu = r, so
-    W_k[r] = chi(r)(2r - k).  Otherwise mu = r + jk with j = 0..p-1, and
-    r + jk meets every class mod p once, so the (2r - pk) part cancels and
-    W_k[r] = 2k sum_j j chi(r + jk), which depends on r mod p only (at r = 0
-    the j = 0 term is 0, as mu = 0 is not in the sum).
+    Closed forms, O(p^2 + k) in all.  For p | k, mu = r, so
+    W_k[r] = chi(r)(2r - k) and B_k = 0.  Otherwise mu = r + jk with
+    j = 0..p-1 meets every class mod p once, so the (2r - pk) part of W_k
+    cancels and W_k[r] = 2k U[c], with c = r mod p and
+    U[c] = sum_j j chi(c + jk).  Then B_k = sum_r (r U[c] + k V[c]) with
+    V[c] = sum_j j^2 chi(c + jk): the first part is moment / 2k, and V sums
+    to 0 over every p consecutive c (chi does, for each j), so the second
+    is k sum_{c < k mod p} V[c].
     """
     p = len(chi)
     if k % p == 0:
-        return tuple(chi[r % p] * (2 * r - k) for r in range(k))
-    by_class = [2 * k * sum(j * chi[(c + j * k) % p] for j in range(1, p))
-                for c in range(p)]
-    return tuple(by_class[r % p] for r in range(k))
-
-
-def _s_chi_numerators(w: tuple, k: int):
-    """The map a -> 4 k phi k s_chi(a,k), an int, for one modulus k, read
-    from w = _s_chi_weights(chi, k); it remembers each value it computes.
-
-    s_chi is odd in a, so a is brought to 0 <= a <= k/2 first.  Since
-    chi(-1) = 1, mu -> phi k - mu gives W[k-r] = -W[r], so W sums to 0 over
-    0 < r < k and over the r with a r = 0 (mod k): the sum of
-    dedekind_s_chi may keep the terms it skips, as (2 * 0 - k) W[r], and
-    then it does not change when the constant -k sum W[r] is dropped.
-    Writing a r mod k = a r - k floor(a r / k) turns it into
-    2a sum r W[r] - 2k sum floor(a r / k) W[r].  floor(a r / k) counts the
-    m in 1..a-1 with r >= mk/a, so the second sum is
-    sum_{m=1}^{a-1} tails[ceil(mk/a)], where tails[j] = sum_{r>=j} W[r].
-    Each a costs O(a) steps after one O(k) pass for the tails.
-    """
-    tails = [*accumulate(reversed(w))][::-1]
+        w = [chi[r % p] * (2 * r - k) for r in range(k)]
+    else:
+        u = [sum(j * chi[(c + j * k) % p] for j in range(1, p))
+             for c in range(p)]
+        w = [2 * k * u[r % p] for r in range(k)]
+    tails = (*accumulate(reversed(w)),)[::-1]
     moment = sum(tails[1:])
-    values = {}
+    if k % p == 0:
+        return tails, moment, 0
+    v = sum(j * j * chi[(c + j * k) % p]
+            for c in range(k % p) for j in range(1, p))
+    return tails, moment, moment // (2 * k) + k * v
 
-    def s_chi(a):
-        a %= k
-        if 2 * a > k:
-            return -s_chi(k - a)
-        if a not in values:
-            floors = sum(tails[-(-mk // a)] for mk in range(k, a * k, k))
-            values[a] = 2 * a * moment - 2 * k * floors
-        return values[a]
 
-    return s_chi
+def _floor_sum(table: tuple, a: int) -> int:
+    """F(a) = sum_{0<r<k} floor(a r / k) W_k[r] for 0 <= a < k, read from
+    table = _chi_table(chi, k).
+
+    floor(a r / k) counts the m in 1..a-1 with r >= mk/a, so
+    F(a) = sum_{m=1}^{a-1} tails[ceil(mk/a)].  Since chi(-1) = 1,
+    mu -> phi k - mu gives W_k[k-r] = -W_k[r], so W_k sums to 0 over
+    0 < r < k and over the r with k | a r.  As
+    floor((k-a) r / k) = r - floor(a r / k) - [k !| a r], that gives the
+    mirror F(k-a) = moment - F(a), so each call costs O(min(a, k-a)).
+    """
+    tails, moment, _ = table
+    k = len(tails)
+    if 2 * a > k:
+        return moment - _floor_sum(table, k - a)
+    return sum(tails[-(-mk // a)] for mk in range(k, a * k, k))
+
+
+def _s_chi_cleared(table: tuple, h: int) -> int:
+    """4 k phi k s_chi(h,k), an int, for every integer h, read from
+    table = _chi_table(chi, k).
+
+    The sawtooth ((h mu / k)) depends on mu only through r = mu mod k, so
+    4 k phi k s_chi(h,k) = sum_{0<r<k} (2 (h r mod k) - k) W_k[r] over the
+    r with k !| h r.  W_k sums to 0 over those r (see _floor_sum), so the
+    -k part drops out, and with a = h mod k,
+    h r mod k = a r - k floor(a r / k) makes it 2a moment - 2k F(a).
+    """
+    k = len(table[0])
+    a = h % k
+    return 2 * a * table[1] - 2 * k * _floor_sum(table, a)
 
 
 def dedekind_s_chi(ctx: PrimeContext, h: int, k: int) -> Fraction:
     """Character twist sum_{mu mod phi k} chi(mu) ((h mu / k))((mu / phi k)),
     where phi = p unless p | k (then phi = 1)."""
+    _check_ctx(ctx)
     _check_int("h", h)
     _check_int("k", k, 1)
-    w = _s_chi_weights(ctx.chi, k)
-    total = 0
-    for r in range(1, k):
-        a = (h * r) % k
-        if a:
-            total += (2 * a - k) * w[r]
-    return Fraction(total, 4 * k * _phi(ctx.p, k) * k)
-
-
-# The (prime, k) keys of _s_chi_weights that t_chi reaches, under the same
-# bound (see the counts above that function).
-@lru_cache(maxsize=1024)
-def _t_chi_offset(chi: tuple, k: int) -> int:
-    """B_k = sum j (r + jk) chi(r + jk) over 0 <= r < k and 0 <= j < phi.
-
-    chi is the character table of p (so p = len(chi)) and phi = _phi(p, k).
-    It is the coefficient of h in phi t_chi(h,k) (see dedekind_t_chi).  For
-    p | k, phi = 1 and only j = 0 occurs, so B_k = 0.  Otherwise the sums
-    over j depend on r only through c = r mod p, so
-    B_k = sum_r (r U[c] + k V[c]) with U[c] = sum_j j chi(c + jk) and
-    V[c] = sum_j j^2 chi(c + jk), O(p^2 + k) in all.
-    """
-    p = len(chi)
-    if k % p == 0:
-        return 0
-    u = [sum(j * chi[(c + j * k) % p] for j in range(1, p)) for c in range(p)]
-    v = [sum(j * j * chi[(c + j * k) % p] for j in range(1, p))
-         for c in range(p)]
-    return sum(r * u[r % p] + k * v[r % p] for r in range(k))
+    return Fraction(_s_chi_cleared(_chi_table(ctx.chi, k), h),
+                    4 * k * _phi(ctx.p, k) * k)
 
 
 def dedekind_t_chi(ctx: PrimeContext, h: int, k: int) -> Fraction:
@@ -197,21 +184,22 @@ def dedekind_t_chi(ctx: PrimeContext, h: int, k: int) -> Fraction:
 
     Writing mu = r + jk with 0 <= r < k and 0 <= j < phi gives
     floor(h mu / k) = floor(h r / k) + h j, so for every integer h
-    phi t_chi(h,k) = sum_{r=1}^{k-1} floor(h r / k) A_k[r] + h B_k, where
-    A_k[r] = sum_j (r + jk) chi(r + jk) and B_k is _t_chi_offset(chi, k).
-    A_k is read from W_k = _s_chi_weights(chi, k).  For p !| k, r + jk
-    meets every class mod p once, so the constant in W_k's (2 mu - phi k)
-    cancels and A_k = W_k / 2.  For p | k, mu = r, so
+    phi t_chi(h,k) = sum_{0<r<k} floor(h r / k) A_k[r] + h B_k, where
+    A_k[r] = sum_j (r + jk) chi(r + jk) and B_k is read from _chi_table.
+    For p !| k, r + jk meets every class mod p once, so the constant in
+    W_k's (2 mu - phi k) cancels and A_k = W_k / 2.  For p | k, mu = r, so
     A_k[r] = r chi(r) = (W_k[r] + k chi(r)) / 2; the k chi(r) part drops
-    out, as sum_{r=1}^{k-1} floor(h r / k) chi(r) = 0 there (pair r with
+    out, as sum_{0<r<k} floor(h r / k) chi(r) = 0 there (pair r with
     k - r: chi(-1) = 1, and chi sums to 0 over the r with k | h r).  So
-    W_k / 2 serves for both, and each call costs O(k) instead of O(phi k).
+    W_k / 2 serves for both, and with h = qk + a, 0 <= a < k,
+    2 phi t_chi(h,k) = q moment + F(a) + 2h B_k (see _floor_sum).
     """
+    _check_ctx(ctx)
     _check_int("h", h)
     _check_int("k", k, 1)
-    w = _s_chi_weights(ctx.chi, k)
-    total = sum((h * r // k) * w[r] for r in range(1, k))
-    return Fraction(total + 2 * h * _t_chi_offset(ctx.chi, k),
+    table = _chi_table(ctx.chi, k)
+    q, a = divmod(h, k)
+    return Fraction(q * table[1] + _floor_sum(table, a) + 2 * h * table[2],
                     2 * _phi(ctx.p, k))
 
 
@@ -222,6 +210,7 @@ def dedekind_s_tilde(ctx: PrimeContext, a: int, b: int) -> Fraction:
     in O(1) from the cumulative character table, so the loop stays integral:
     the accumulated total is 4bp times the result.
     """
+    _check_ctx(ctx)
     _check_int("a", a)
     _check_int("b", b, 2)
     if math.gcd(a, b) != 1:
@@ -251,6 +240,7 @@ def lattice_floor_sum(ctx: PrimeContext, a: int, y) -> int:
     floor((a mu + nu + a y)/p) = floor((a mu + nu + floor(a y))/p), so the
     whole computation is integer arithmetic.
     """
+    _check_ctx(ctx)
     _check_int("a", a)
     if isinstance(y, bool) or not isinstance(y, (int, Fraction)):
         raise ValueError(f"y must be an int or a Fraction, got {y!r}")
@@ -298,6 +288,7 @@ def verify_reciprocity_chi(ctx: PrimeContext, h: int, k: int) -> bool:
 
         s_chi(h,K) + chi(h) s_chi(Khat, h) = ((h^2 + chi(h)) / (2 h K)) B2_chi.
     """
+    _check_ctx(ctx)
     _check_int("h", h, 2)
     _check_int("k", k, 1)
     if math.gcd(h, k) != 1:

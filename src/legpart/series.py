@@ -649,16 +649,11 @@ def c_sequence(ctx: PrimeContext) -> list:
     c_m = (1 - chi_2/4)*B2 - (p-1)/24 - 2m, kept while c_m > 0; exact
     rationals throughout.
     """
-    chi2 = ctx.chi[2 % ctx.p]
-    out = []
-    m = 0
-    while True:
-        cm = (1 - Fraction(chi2, 4)) * ctx.b2 - Fraction(ctx.p - 1, 24) - 2 * m
-        if cm <= 0:
-            break
-        out.append(cm)
-        m += 1
-    return out
+    _check_ctx(ctx)
+    c0 = ((1 - Fraction(ctx.chi[2 % ctx.p], 4)) * ctx.b2
+          - Fraction(ctx.p - 1, 24))
+    # c_m > 0 exactly for the integers 0 <= m < c_0 / 2
+    return [c0 - 2 * m for m in range(math.ceil(c0 / 2))]
 
 
 def rademacher_eval(ctx: PrimeContext, sign: int, n: int,

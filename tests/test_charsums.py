@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import cache
 
 import mpmath as mp
 import pytest
@@ -27,7 +28,8 @@ from legpart.charsums import (
     verify_tau_table,
 )
 from legpart.context import make_context, q_constants
-from legpart.dedekind import dedekind_s, dedekind_s_chi
+from legpart.dedekind import dedekind_s
+from test_dedekind import _s_chi_literal
 
 C5 = make_context(5)
 C13 = make_context(13)
@@ -54,19 +56,22 @@ def test_lambda_exponent_rejects():
             lambda_exponent(C17, h, k)
 
 
+@cache  # both row tests read it
 def _literal_lambda_row(p, k):
     """The phases (plain, dagger) of every h mod k, one unit at a time by
-    the formulas in lambda_exponent through the public dedekind_s_chi and
-    the literal dedekind_s: the oracle for the per-modulus integer rows."""
+    the formulas in lambda_exponent through the literal definition of s_chi
+    (once per argument mod k) and the literal dedekind_s: the oracle for the
+    per-modulus integer rows."""
     ctx = make_context(p)
+    s_chi = cache(lambda a: _s_chi_literal(ctx, a, k))
     half = Fraction(1, 2)
     row = []
     for h in range(k):
         if math.gcd(h, k) != 1:
             row.append(None)
             continue
-        s1 = dedekind_s_chi(ctx, h, k)
-        s2 = dedekind_s_chi(ctx, 2 * h, k)
+        s1 = s_chi(h)
+        s2 = s_chi(2 * h % k)
         tail = dedekind_s(2 * h, k) - dedekind_s(2 * h * p, k)
         row.append((s1 - half * s2 + half * tail, half * s2 - s1 + half * tail))
     return tuple(row)

@@ -1,11 +1,15 @@
 """Tests for the per-prime context and its constants."""
 
+import importlib
+import inspect
+import pkgutil
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from legpart.charsums import kloosterman_L, lambda_exponent, lambda_k
+import legpart
+
 from legpart.context import (
     legendre,
     make_context,
@@ -14,9 +18,6 @@ from legpart.context import (
     q_constants,
     quartic_class,
 )
-from legpart.series import (SeriesEvalConfig, oracle_table, rademacher_eval,
-                            scan_vanishing, sigma_coeffs, theta_products,
-                            verify_functional_equation)
 
 
 def b1_chi(ctx, y) -> Fraction:
@@ -227,21 +228,30 @@ def test_q_constants_match_literal_products_bitwise():
             assert [x._mpf_ for x in got] == [x._mpf_ for x in want], (p, prec)
 
 
+def _ctx_entry_points() -> dict:
+    """Every public function of each legpart module whose first parameter
+    is ctx, by name."""
+    found = {}
+    for info in pkgutil.iter_modules(legpart.__path__):
+        mod = importlib.import_module(f"legpart.{info.name}")
+        for name, obj in vars(mod).items():
+            if (inspect.isfunction(obj) and not name.startswith("_")
+                    and obj.__module__ == mod.__name__
+                    and [*inspect.signature(obj).parameters][:1] == ["ctx"]):
+                found[name] = obj
+    return found
+
+
 @pytest.mark.parametrize("ctx", [None, 17])
 def test_public_entry_points_reject_a_non_context(ctx):
-    # every public entry point that takes a context, with its other
-    # arguments valid
-    calls = [
-        lambda: rademacher_eval(ctx, 1, 1, SeriesEvalConfig(10, 64)),
-        lambda: oracle_table(ctx, 1, 10),
-        lambda: sigma_coeffs(ctx, 1, 5),
-        lambda: theta_products(ctx, "Phi", 0.5, 10),
-        lambda: scan_vanishing(ctx, 1, 34, 1, 100),
-        lambda: verify_functional_equation(ctx, "1", 1, 1, 1),
-        lambda: kloosterman_L(ctx, 1, 1),
-        lambda: lambda_k(ctx, 1),
-        lambda: lambda_exponent(ctx, 1, 1),
-    ]
-    for call in calls:
+    # each checks ctx before anything else, so every other required
+    # argument can be 1
+    entry_points = _ctx_entry_points()
+    # one from each module that has any, so the search reaches them all
+    assert {"legendre", "dedekind_s_chi", "kloosterman_dagger",
+            "rademacher_eval"} <= set(entry_points)
+    for name, fn in entry_points.items():
+        params = [*inspect.signature(fn).parameters.values()][1:]
+        args = [1 for prm in params if prm.default is prm.empty]
         with pytest.raises(ValueError, match=r"ctx must be a PrimeContext"):
-            call()
+            fn(ctx, *args)

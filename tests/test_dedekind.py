@@ -9,10 +9,10 @@ import pytest
 from legpart.charsums import lambda_exponent
 from legpart.context import make_context
 from legpart.dedekind import (
+    _chi_table,
     _dedekind_s_12k,
-    _s_chi_numerators,
-    _s_chi_weights,
-    _t_chi_offset,
+    _floor_sum,
+    _s_chi_cleared,
     dedekind_s,
     dedekind_s_chi,
     dedekind_s_tilde,
@@ -103,7 +103,7 @@ def test_s_chi_examples():
 
 def _s_chi_weights_literal(chi, k):
     """The defining O(pk) loop of W_k, the oracle for the closed forms of
-    _s_chi_weights: mu runs over 0 < mu < phi k, grouped by mu mod k."""
+    _chi_table: mu runs over 0 < mu < phi k, grouped by mu mod k."""
     p = len(chi)
     L = (1 if k % p == 0 else p) * k
     w = [0] * k
@@ -114,29 +114,53 @@ def _s_chi_weights_literal(chi, k):
     return tuple(w)
 
 
-def test_s_chi_weights_match_literal_loop():
+def _t_chi_offset_literal(chi, k):
+    """B_k as its defining double sum over mu = r + jk."""
+    p = len(chi)
+    phi = 1 if k % p == 0 else p
+    return sum(j * (r + j * k) * chi[(r + j * k) % p]
+               for r in range(k) for j in range(phi))
+
+
+def test_chi_table_matches_literal_loops():
+    # the suffix sums and the moment of the literal weights, and B_k as its
+    # defining double sum
     for p in (5, 13, 17):
         chi = make_context(p).chi
         for k in [*range(1, 300), 10 * p, 20 * p, 442, 699]:
-            want = _s_chi_weights_literal(chi, k)
-            assert _s_chi_weights.__wrapped__(chi, k) == want, (p, k)
+            w = _s_chi_weights_literal(chi, k)
+            tails, moment, b = _chi_table.__wrapped__(chi, k)
+            assert tails == tuple(sum(w[j:]) for j in range(k)), (p, k)
+            assert moment == sum(r * w[r] for r in range(k)), (p, k)
+            assert b == _t_chi_offset_literal(chi, k), (p, k)
+
+
+def test_floor_sum_matches_literal_sum():
+    # every 0 <= a < k, so both sides of the mirror a -> k - a, against
+    # sum_{0<r<k} floor(a r / k) W_k[r] over the literal weights
+    for p in (5, 13, 17):
+        chi = make_context(p).chi
+        for k in [*range(1, 80), 3 * p, 10 * p, 301]:
+            w = _s_chi_weights_literal(chi, k)
+            table = _chi_table(chi, k)
+            for a in range(k):
+                want = sum((a * r // k) * w[r] for r in range(1, k))
+                assert _floor_sum(table, a) == want, (p, k, a)
 
 
 def test_s_chi_numerators_match_regrouped_sum():
-    # every argument, including a = 0, non-units, a < 0 and a >= k, in both
-    # a rising and a falling order, so the remembered values and the mirror
-    # a -> k - a are read in both directions
+    # every argument, including a = 0, non-units, a < 0 and a >= k, against
+    # the literal definition, which depends on a mod k only and so runs
+    # once per residue
     for p in (5, 13, 17):
         ctx = make_context(p)
         for k in [*range(1, 61), 3 * p, 4 * p, 10 * p, 301]:
             scale = 4 * k * (1 if k % p == 0 else p) * k
-            want = {a: scale * dedekind_s_chi(ctx, a, k)
-                    for a in range(-k - 2, 2 * k + 3)}
-            for order in (sorted(want), sorted(want, reverse=True)):
-                s_chi = _s_chi_numerators(_s_chi_weights(ctx.chi, k), k)
-                for a in order:
-                    got = s_chi(a)
-                    assert isinstance(got, int) and got == want[a], (p, a, k)
+            want = [scale * _s_chi_literal(ctx, a, k) for a in range(k)]
+            table = _chi_table(ctx.chi, k)
+            for a in range(-k - 2, 2 * k + 3):
+                got = _s_chi_cleared(table, a)
+                assert isinstance(got, int) and got == want[a % k], (p, a, k)
 
 
 def _s_chi_literal(ctx, h, k):
@@ -175,7 +199,7 @@ def test_s_chi_matches_literal_definition():
             dagger = half * s2 - s1 + half * tail
             assert lambda_exponent(ctx, h, k, "plain").value == plain, (h, k)
             assert lambda_exponent(ctx, h, k, "dagger").value == dagger, (h, k)
-    assert isinstance(_s_chi_weights.cache_info().maxsize, int)
+    assert isinstance(_chi_table.cache_info().maxsize, int)
 
 
 def test_t_chi_examples():
@@ -199,20 +223,10 @@ def _t_chi_literal(ctx, h, k):
     return Fraction(total, phi)
 
 
-def _t_chi_offset_literal(chi, k):
-    """B_k as its defining double sum over mu = r + jk."""
-    p = len(chi)
-    phi = 1 if k % p == 0 else p
-    return sum(j * (r + j * k) * chi[(r + j * k) % p]
-               for r in range(k) for j in range(phi))
-
-
 def test_t_chi_matches_literal_loop():
     for p in (5, 13, 17):
         ctx = make_context(p)
         for k in [*range(1, 121), p, 3 * p, 10 * p, 20 * p]:
-            assert (_t_chi_offset.__wrapped__(ctx.chi, k)
-                    == _t_chi_offset_literal(ctx.chi, k)), (p, k)
             # h = 0, h < 0, h >= k, and h sharing a factor with k or p
             hs = {*range(-4, 9), k - 1, k, k + 1, 2 * k + 3, -k - 2, p, 2 * p}
             for h in sorted(hs):

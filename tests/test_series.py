@@ -1014,5 +1014,5 @@ def test_series_path_caches_are_bounded():
                 assert type(maxsize) is int and maxsize > 0, name
                 found.add(name)
     assert {"_fixed_cis", "_phase_vector", "_root_table", "_weight",
-            "_twin_products", "_lambda_parts", "_s_chi_weights",
-            "_t_chi_offset", "make_context", "_prime_factors"} <= found
+            "_twin_products", "_lambda_parts", "_chi_table", "make_context",
+            "_prime_factors"} <= found
