@@ -118,7 +118,9 @@ def _chi_table(chi: tuple, k: int) -> tuple:
     U[c] = sum_j j chi(c + jk).  Then B_k = sum_r (r U[c] + k V[c]) with
     V[c] = sum_j j^2 chi(c + jk): the first part is moment / 2k, and V sums
     to 0 over every p consecutive c (chi does, for each j), so the second
-    is k sum_{c < k mod p} V[c].
+    is k sum_{c < R} V[c], R = k mod p.  That is O(p) from the prefix sums
+    C[i] = sum_{t < i} chi(t mod p) over two periods:
+    sum_{c < R} V[c] = sum_j j^2 (C[(jk mod p) + R] - C[jk mod p]).
     """
     p = len(chi)
     if k % p == 0:
@@ -131,8 +133,9 @@ def _chi_table(chi: tuple, k: int) -> tuple:
     moment = sum(tails[1:])
     if k % p == 0:
         return tails, moment, 0
-    v = sum(j * j * chi[(c + j * k) % p]
-            for c in range(k % p) for j in range(1, p))
+    cum = (0, *accumulate(chi + chi))
+    v = sum(j * j * (cum[j * k % p + k % p] - cum[j * k % p])
+            for j in range(1, p))
     return tails, moment, moment // (2 * k) + k * v
 
 

@@ -5,9 +5,10 @@ as a factor table in _factors.  The oracle side works in pure integer
 arithmetic: oracle_table (Phi, PhiDagger) and sigma_coeffs (S+-) expand
 their tables as the theta quotient (x^M; x^M)_inf^r / prod_a J_a, whose
 factors have O(sqrt(n/M)) terms each (_theta_quotient).  The numeric side
-(q-Pochhammer and theta products from the same tables through one libmpc
-kernel, transformation checks, series evaluation) runs on mpmath at a
-caller-chosen precision and reuses the exact phases from charsums.
+(q-Pochhammer and theta products from the same tables through one int
+kernel that rounds as libmpf does, transformation checks, series
+evaluation) runs on mpmath at a caller-chosen precision and reuses the
+exact phases from charsums.
 
 The series evaluates its exponential sums per modulus k, not per (k, n):
 the phases z_h and the k-th roots of unity do not depend on n, so each is
@@ -26,8 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import mp
-from mpmath.libmp import (fone, from_man_exp, from_rational, fzero, mpc_add,
-                          mpc_mul, mpc_sub, mpf_cos_sin_pi, to_fixed)
+from mpmath.libmp import from_man_exp, from_rational, mpf_cos_sin_pi, to_fixed
 
 from .arith import (HPComplex, HPReal, _check_choice, _check_int, _precision,
                     bessel_i1, default_precision, to_mpf)
@@ -36,7 +36,6 @@ from .charsums import (VARIANTS, _chi_class, _twisted_phases, lambda_exponent,
 from .context import PrimeContext, _check_ctx, make_context
 
 _SIGNS = (1, -1)
-_ONE = (fone, fzero)  # the raw mpc 1
 
 THETA_FAMILIES = ("R+", "R-", "S+", "S-", "T+", "T-", "U+", "U-",
                   "F_r", "F_s", "G_r", "G_s", "Phi", "PhiDagger")
@@ -289,12 +288,15 @@ def sigma_coeffs(ctx: PrimeContext, sign: int, m_max: int) -> list:
 # numeric products
 # ---------------------------------------------------------------------------
 
-def _as_mpc(x):
+def _as_mpc(name: str, x):
+    """x as an mpc; raises ValueError naming the argument unless finite."""
     if isinstance(x, (HPComplex, HPReal)):
-        return mp.mpc(x.value)
-    if isinstance(x, Fraction):
-        return mp.mpc(to_mpf(x))
-    return mp.mpc(x)
+        xx = mp.mpc(x.value)
+    else:
+        xx = mp.mpc(to_mpf(x) if isinstance(x, Fraction) else x)
+    if not mp.isfinite(xx):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return xx
 
 
 def _carried_prec(*xs) -> int:
@@ -316,27 +318,74 @@ def _poch_tail_bound(z, q, truncation: int):
     return head / ((1 - qa) * (1 - head))
 
 
+def _mpf_add(am: int, ae: int, bm: int, be: int, prec: int) -> tuple:
+    """am 2^ae + bm 2^be as libmpf's mpf_add rounds it, for signed odd (or
+    zero) mantissas: to prec bits, half to even, as (odd m or 0, e).
+
+    mpf_add is not correctly rounded when the operands lie far apart: past
+    an exponent offset of 100, with top bits more than prec + 4 apart, it
+    shifts the larger one up by prec + 4 bits and moves it one unit toward
+    the smaller one's sign before rounding.  The branch is copied, and the
+    result's trailing zeros stripped, so every offset it tests is mpf_add's.
+    """
+    if ae < be:
+        am, ae, bm, be = bm, be, am, ae
+    if not bm:
+        bm, be = am, ae
+    elif am:
+        d = ae - be
+        if d > 100 and am.bit_length() + d - bm.bit_length() > prec + 4:
+            bm, be = (am << prec + 4) + (1 if bm > 0 else -1), ae - prec - 4
+        else:
+            bm += am << d
+    n = bm.bit_length() - prec
+    if n > 0:
+        t = bm >> (n - 1)
+        if t & 1 and (t & 2 or bm & ((1 << (n - 1)) - 1)):
+            t += 2
+        bm, be = t >> 1, be + n
+    if bm & 1 or not bm:
+        return bm, be
+    n = (bm & -bm).bit_length() - 1
+    return bm >> n, be + n
+
+
 def _poch_partial(z, q, truncation: int, twin: bool = False):
     """Partial product prod_{j<N} (1 - z q^j), with twin also that of -z
     (else None), and the _poch_tail_bound both share.
 
-    The loop makes on raw _mpc_ tuples the libmpc calls of the mpc-object
-    loop val *= 1 - zq; zq *= q, at mp's precision and rounding, so each
-    product is that loop's bit for bit.  Negation is exact and mp rounds to
-    nearest, which is sign-symmetric, so the chain of -z is the negated
-    chain of z, and 1 - (-z q^j) is mpc_add(1, z q^j).
+    Int arithmetic that mirrors, bit for bit, the libmpc calls of the
+    mpc-object loop val *= 1 - zq; zq *= q at mp.prec: each mpf is a signed
+    odd mantissa (or 0) times 2^e, and a complex product is four exact int
+    products and two _mpf_add, each rounded to mp.prec half to even, with
+    mpf_add's far-operand branch (see _mpf_add).  The first factor rounds
+    the imaginary part of z, later ones read the rounded chain.  Negation
+    is exact and the rounding sign-symmetric, so the chain of -z is the
+    negated chain of z, and the twin factors are 1 + z q^j.
     """
-    prec, rnd = mp._prec_rounding
-    val = twin_val = _ONE
-    zq, qq = mp.mpc(z)._mpc_, mp.mpc(q)._mpc_
+    prec = mp.prec
+    vr, vre, vi, vie = ur, ure, ui, uie = 1, 0, 0, 0
+    (zr, zre), (zi, zie), (qr, qre), (qi, qie) = [
+        (-m if s else m, e)
+        for s, m, e, _ in mp.mpc(z)._mpc_ + mp.mpc(q)._mpc_]
+    wi, wie = _mpf_add(zi, zie, 0, 0, prec)
     for _ in range(truncation):
-        val = mpc_mul(val, mpc_sub(_ONE, zq, prec, rnd), prec, rnd)
+        fr, fre = _mpf_add(1, 0, -zr, zre, prec)
+        vr, vre, vi, vie = (
+            *_mpf_add(vr * fr, vre + fre, vi * wi, vie + wie, prec),
+            *_mpf_add(-vr * wi, vre + wie, vi * fr, vie + fre, prec))
         if twin:
-            twin_val = mpc_mul(twin_val, mpc_add(_ONE, zq, prec, rnd), prec,
-                               rnd)
-        zq = mpc_mul(zq, qq, prec, rnd)
-    return (mp.make_mpc(val), mp.make_mpc(twin_val) if twin else None,
-            _poch_tail_bound(z, q, truncation))
+            fr, fre = _mpf_add(1, 0, zr, zre, prec)
+            ur, ure, ui, uie = (
+                *_mpf_add(ur * fr, ure + fre, -ui * wi, uie + wie, prec),
+                *_mpf_add(ur * wi, ure + wie, ui * fr, uie + fre, prec))
+        zr, zre, zi, zie = (
+            *_mpf_add(zr * qr, zre + qre, -zi * qi, zie + qie, prec),
+            *_mpf_add(zr * qi, zre + qie, zi * qr, zie + qre, prec))
+        wi, wie = zi, zie
+    val = mp.make_mpc((from_man_exp(vr, vre), from_man_exp(vi, vie)))
+    twin_val = mp.make_mpc((from_man_exp(ur, ure), from_man_exp(ui, uie)))
+    return val, twin_val if twin else None, _poch_tail_bound(z, q, truncation)
 
 
 def _poch_at(z, q, truncation: int, part, wrap):
@@ -345,7 +394,7 @@ def _poch_at(z, q, truncation: int, part, wrap):
     _check_int("truncation", truncation, 0)
     prec = _carried_prec(z, q)
     with mp.workprec(prec + 16):
-        zz, qq = _as_mpc(z), _as_mpc(q)
+        zz, qq = _as_mpc("z", z), _as_mpc("q", q)
         if abs(qq) >= 1:
             raise ValueError("q must satisfy |q| < 1")
         out = part(zz, qq, truncation)
@@ -428,9 +477,9 @@ _BASE = {**{b: b for b in _TWINS}, **{t: b for b, t in _TWINS.items()}}
 # 64 never evicts there and bounds an arbitrary caller.
 @lru_cache(maxsize=64)
 def _twin_products(ctx: PrimeContext, base: str, x: tuple, truncation: int,
-                   prec: int, rounding: str) -> tuple:
+                   prec: int) -> tuple:
     """_theta_product of a base family and its twin at x = make_mpc(x),
-    memoised per precision and rounding, the mp state it runs at."""
+    memoised per precision, the mp state it runs at."""
     return _theta_product(ctx, base, mp.make_mpc(x), truncation, True)
 
 
@@ -441,7 +490,7 @@ def _theta_value(ctx: PrimeContext, family: str, x, truncation: int):
         value, _, tail = _theta_product(ctx, family, x, truncation, False)
         return value, tail
     value, twin_value, tail = _twin_products(ctx, base, x._mpc_, truncation,
-                                             *mp._prec_rounding)
+                                             mp.prec)
     return (value if family == base else twin_value), tail
 
 
@@ -459,7 +508,7 @@ def theta_products(ctx: PrimeContext, family: str, x,
     _check_int("truncation", truncation, 1)
     prec = _carried_prec(x)
     with mp.workprec(prec + 24):
-        xx = _as_mpc(x)
+        xx = _as_mpc("x", x)
         if abs(xx) >= 1:
             raise ValueError("theta products need |x| < 1")
         value, _ = _theta_value(ctx, family, xx, truncation)
@@ -512,7 +561,7 @@ def verify_functional_equation(ctx: PrimeContext, case: str, h: int, k: int,
     fam = {"2p": "R", "p": "S", "2": "T", "1": "U"}[case]
     fam += "+" if sgn == 1 else "-"
     with mp.workprec(prec + 32):
-        zz = _as_mpc(z)
+        zz = _as_mpc("z", z)
         if mp.re(zz) <= 0:
             raise ValueError("need Re z > 0")
         xx = mp.expjpi(mp.mpf(2 * h) / k) * mp.exp(-2 * mp.pi * zz / k)

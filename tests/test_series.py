@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, mpf_add
 
 import legpart
 from legpart.arith import HPComplex, HPReal, cyclo_to_complex
@@ -17,13 +17,13 @@ from legpart.charsums import (_chi_class, _twisted_phases,
 from legpart.context import make_context
 from legpart.series import (FEQ_CASES, THETA_FAMILIES, InconclusiveError,
                             RademacherResult, SeriesEvalConfig, _euler_terms,
-                            _factors, _fixed_cis, _jacobi_terms, _numeric_sum,
-                            _phase_vector, _poch_partial, _poch_tail_bound,
-                            _root_table, _theta_pairs, _theta_quotient,
-                            _twin_products, c_sequence, oracle_table,
-                            q_pochhammer, q_pochhammer_tail, rademacher_eval,
-                            scan_vanishing, sigma_coeffs, theta_products,
-                            verify_functional_equation)
+                            _factors, _fixed_cis, _jacobi_terms, _mpf_add,
+                            _numeric_sum, _phase_vector, _poch_partial,
+                            _poch_tail_bound, _root_table, _theta_pairs,
+                            _theta_quotient, _twin_products, c_sequence,
+                            oracle_table, q_pochhammer, q_pochhammer_tail,
+                            rademacher_eval, scan_vanishing, sigma_coeffs,
+                            theta_products, verify_functional_equation)
 from legpart import verify
 
 C5 = make_context(5)
@@ -539,6 +539,67 @@ def test_poch_kernel_matches_literal_loop():
                     assert b1 == b2 == bound
 
 
+def test_poch_kernel_matches_literal_loop_on_seeded_grid():
+    # z = 0, real, imaginary and complex z, real and complex q, at and
+    # around the precisions the FEQ products run at
+    rng = random.Random(20)
+    for prec in (53, 96, 176, 200, 240, 400):
+        with mp.workprec(prec):
+            def u():
+                return mp.mpf(rng.uniform(-1, 1))
+            zs = [mp.mpc(0), mp.mpc(u()), mp.mpc(0, u()), mp.mpc(u(), u()),
+                  mp.mpc(u(), u()) * mp.mpf(2) ** -rng.randint(10, 40)]
+            r = rng.uniform(0.05, 0.9)
+            qs = [mp.mpc(r), mp.mpc(-r), mp.mpc(r * mp.expjpi(u()))]
+            for z in zs:
+                for q in qs:
+                    for n in (0, 1, 37, 200):
+                        got, twin, _ = _poch_partial(z, q, n, True)
+                        want = _literal_poch(z, q, n)
+                        assert got._mpc_ == want._mpc_, (prec, z, q, n)
+                        mirror = _literal_poch(-z, q, n)
+                        assert twin._mpc_ == mirror._mpc_, (prec, z, q, n)
+
+
+def test_poch_kernel_mirrors_far_operand_add():
+    # at 176 bits this product meets mpf_add's far-operand branch, whose
+    # result a correctly rounded add misses in the last bit
+    with mp.workprec(176):
+        z, q = mp.mpc("0.5"), mp.mpc("-0.04", "-0.035")
+        got, twin, _ = _poch_partial(z, q, 200, True)
+        assert got._mpc_ == _literal_poch(z, q, 200)._mpc_
+        assert twin._mpc_ == _literal_poch(-z, q, 200)._mpc_
+
+
+def test_mpf_add_matches_libmpf():
+    # exact products (wider than prec) and rounded values, near and far
+    # apart, against mpf_add itself
+    rng = random.Random(21)
+    for _ in range(3000):
+        prec = rng.choice((53, 96, 176, 240))
+        a, b = (rng.choice((-1, 1)) * (rng.getrandbits(rng.choice(
+            (1, prec, 2 * prec))) | 1) for _ in "ab")
+        ae = rng.randint(-400, 0)
+        be = ae + rng.choice((0, 1, -1, 99, 100, 101, -101, 150, -300))
+        if rng.random() < 0.05:
+            a = 0
+        want = mpf_add(from_man_exp(a, ae), from_man_exp(b, be), prec, "n")
+        m, e = _mpf_add(a, ae, b, be, prec)
+        assert from_man_exp(m, e) == want, (prec, a, ae, b, be)
+        assert m % 2 or m == 0
+    # the far branch rounds this exact product up, though the exact sum
+    # lies below the half-way point
+    a, b = (1 << 200) | (1 << 147) | 1, -((1 << 102) + 1)
+    got = from_man_exp(*_mpf_add(a, 0, b, -101, 53))
+    assert got == mpf_add(from_man_exp(a, 0), from_man_exp(b, -101), 53, "n")
+    assert got != from_man_exp((a << 101) + b, -101, 53, "n")
+    # the branch reads exponents, so sums come back stripped: 2^53 as
+    # (1, 53) puts its product with a 2^-53 at offset 101 from b, in the
+    # branch, where (2^52, 1) would put it at offset 49
+    m, e = _mpf_add((1 << 53) - 1, 0, 1, 0, 53)
+    assert from_man_exp(*_mpf_add(m * a, e - 53, b, -101, 53)) == got
+
+
 @pytest.mark.parametrize("p", (5, 17))
 def test_theta_products_match_literal_product(p):
     # all 14 families bit for bit against the literal pair lists, with each
@@ -566,6 +627,22 @@ def test_theta_products_match_literal_product(p):
                         prec, i, family)
         # the five base families, at two x and two precisions
         assert _twin_products.cache_info().misses == 20
+
+
+def test_non_finite_arguments_raise():
+    # an int kernel would read the zero mantissa of nan or inf as 0
+    nan, inf = mp.nan, mp.inf
+    for z, q, name in ((mp.mpc(0.5, nan), 0.5, "z"), (inf, 0.5, "z"),
+                       (0.5, mp.mpc(nan), "q"), (0.5, mp.mpc(0, inf), "q")):
+        for f in (q_pochhammer, q_pochhammer_tail):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                f(z, q, 5)
+    for x in (mp.mpc(nan), mp.mpc(0.1, -inf)):
+        with pytest.raises(ValueError, match="^x must be finite"):
+            theta_products(C17, "Phi", HPComplex(x, 64), 10)
+    for z in (nan, mp.mpc(1, nan), inf):
+        with pytest.raises(ValueError, match="^z must be finite"):
+            verify_functional_equation(C17, "1", 1, 1, z)
 
 
 def test_theta_rejects_outside_disk():
