@@ -357,11 +357,13 @@ def _poch_partial(z, q, truncation: int, twin: bool = False):
     Int arithmetic that mirrors, bit for bit, the libmpc calls of the
     mpc-object loop val *= 1 - zq; zq *= q at mp.prec: each mpf is a signed
     odd mantissa (or 0) times 2^e, and a complex product is four exact int
-    products and two _mpf_add, each rounded to mp.prec half to even, with
-    mpf_add's far-operand branch (see _mpf_add).  The first factor rounds
-    the imaginary part of z, later ones read the rounded chain.  Negation
-    is exact and the rounding sign-symmetric, so the chain of -z is the
-    negated chain of z, and the twin factors are 1 + z q^j.
+    products and two _mpf_add, each rounded to mp.prec half to even and,
+    as mpf_add does, through its far-operand branch when the two products
+    lie far apart, which is not correctly rounded (see _mpf_add).  The
+    first factor rounds the imaginary part of z, later ones read the
+    rounded chain.  Negation is exact and the rounding sign-symmetric, so
+    the chain of -z is the negated chain of z, and the twin factors are
+    1 + z q^j.
     """
     prec = mp.prec
     vr, vre, vi, vie = ur, ure, ui, uie = 1, 0, 0, 0
