@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, fzero
 
 __all__ = [
     "DEFAULT_ORDER_CAP",
@@ -134,28 +134,39 @@ def bessel_i1(x, prec: int | None = None) -> HPReal:
     the absolute error below 2^(8-prec) for the argument ranges used here.
     Only the ascending series is used; no asymptotic branch.
 
-    x is rounded to prec+24 bits, and the series runs in fixed-point
-    integers with prec+40 bits below the leading bit of x/2.  Each step
-    floors the exact recurrence (at most 2 units low, plus what it inherits
-    from the previous term), and the partial sum is at least x/2, so the
-    sum is low by less than 2^-(prec+37) of itself per term before the one
-    rounding to prec bits.  Raises ValueError for a negative or non-finite
-    argument.
+    x (an int, float, Fraction or mpf; not a bool) is rounded to prec+24
+    bits and handed to _bessel_i1_mpf, which runs the series in fixed-point
+    integers.  Raises ValueError for a bool, a non-number such as '2', or a
+    negative or non-finite argument.
     """
     prec = _precision(prec)
-    if isinstance(x, Fraction):
-        neg = x < 0
-    else:
-        neg = mp.mpf(x) < 0
-    if neg:
+    if isinstance(x, bool) or not (isinstance(x, (int, float, Fraction))
+                                   or hasattr(x, "_mpf_")):
+        raise ValueError(f"x must be a real number, got {x!r}")
+    if x < 0:
         raise ValueError("bessel_i1 expects a nonnegative argument")
     with mp.workprec(prec + 24):
         xx = to_mpf(x)
     if not mp.isfinite(xx):
         raise ValueError("bessel_i1 expects a finite argument")
-    if xx == 0:
-        return HPReal(mp.mpf(0), prec)
-    _, man, exp, bc = xx._mpf_
+    return HPReal(mp.make_mpf(_bessel_i1_mpf(xx._mpf_, prec)), prec)
+
+
+def _bessel_i1_mpf(x: tuple, prec: int) -> tuple:
+    """I_1 of a raw mpf x, as a raw mpf rounded to prec bits.
+
+    x must be finite, nonnegative and of at most prec+24 bits, the
+    argument bessel_i1 hands over after its guards; a caller that already
+    holds such an mpf (the series, at prec bits) skips that wrapper.  The
+    series runs with prec+40 bits below the leading bit of x/2.  Each step
+    floors the exact recurrence (at most 2 units low, plus what it inherits
+    from the previous term), and the partial sum is at least x/2, so the
+    sum is low by less than 2^-(prec+37) of itself per term before the one
+    rounding to prec bits.
+    """
+    _, man, exp, bc = x
+    if not man:
+        return fzero
     e = exp - 1                       # x/2 = man * 2^e exactly
     frac = prec + 40 - (e + bc)       # fractional bits of the fixed point
     shift = max(0, -2 * e)
@@ -168,7 +179,7 @@ def bessel_i1(x, prec: int | None = None) -> HPReal:
         total += term
         if term << (prec + 8) < total:
             break
-    return HPReal(mp.make_mpf(from_man_exp(total, -frac, prec, "n")), prec)
+    return from_man_exp(total, -frac, prec, "n")
 
 
 # ---------------------------------------------------------------------------

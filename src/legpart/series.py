@@ -10,11 +10,12 @@ kernel that rounds as libmpf does, transformation checks, series
 evaluation) runs on mpmath at a caller-chosen precision and reuses the
 exact phases from charsums.
 
-The series evaluates its exponential sums per modulus k, not per (k, n):
+The series evaluates its exponential sums per residue, not per (k, n):
 the phases z_h and the k-th roots of unity do not depend on n, so each is
-built once as a fixed-point integer vector.  chi(-1) = 1 makes each sum
-L(k, n) real, so it is the real half of one exact integer dot product,
-rounded once to an mpf within 2^-(wp+14) of its exact value (see
+built once per modulus k as a fixed-point integer vector, and n enters
+only through -n mod k.  chi(-1) = 1 makes each sum L(k, n) real, so it is
+the real half of one exact integer dot product, kept per residue and
+rounded to an mpf within 2^-(wp+14) of its exact value (see
 _numeric_sum).  The exact cyclotomic sums of charsums are not on this
 path; the tests use them as its oracle.
 """
@@ -27,10 +28,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, from_rational, mpf_cos_sin_pi, to_fixed
+from mpmath.libmp import (from_int, from_man_exp, from_rational, fzero,
+                         mpf_add, mpf_cos_sin_pi, mpf_div, mpf_mul,
+                         mpf_mul_int, to_fixed)
 
-from .arith import (HPComplex, HPReal, _check_choice, _check_int, _precision,
-                    bessel_i1, default_precision, to_mpf)
+from .arith import (HPComplex, HPReal, _bessel_i1_mpf, _check_choice,
+                    _check_int, _precision, default_precision, to_mpf)
 from .charsums import (VARIANTS, _chi_class, _twisted_phases, lambda_exponent,
                        lambda_k)
 from .context import PrimeContext, _check_ctx, make_context
@@ -623,12 +626,15 @@ def _fixed_cis(num: int, den: int, bits: int) -> tuple:
 # Sizes of the series caches.  One series evaluation at (p, precision,
 # k_max) builds, for each variant, a phase vector per modulus it sums over:
 # odd k and 2k, multiples of 4 prime to p, and each odd multiple of p once
-# per nonzero sigma_m, 274 at p = 17 and k_max = 222.  Both variants at
-# k_max = 222 hold 548 vectors, 163 root tables and 520 weights; the whole
-# test suite in one process holds 894, 215 and 824, the benchmark at most 370,
-# 110 and 354.  The _fixed_cis memo holds 8,161 entries after the benchmark's
-# deepest workload and peaks at 24,817 in the test suite; its 65,536 evict on
-# a cold n = 1000, k_max = 460 run, both signs (75,716 distinct keys).  No
+# per nonzero sigma_m, 274 at p = 17 and k_max = 222; each vector holds a
+# slot per residue -n mod k asked, at most k.  Both variants at k_max = 222
+# hold 548 vectors, 163 root tables and 520 weights.  The benchmark's
+# series_sweep leaves 150 vectors with 6,224 slots, series_deep 370 with
+# 2,418, 110 root tables and 354 weights; the whole test suite in one process
+# peaks at 894 vectors with 31,404 slots, 216 root tables and 824 weights.
+# The _fixed_cis memo holds 8,161 entries after series_deep and peaks at
+# 24,833 in the test suite; its 65,536 evict on a cold n = 1000, k_max = 460
+# run, both signs (75,716 distinct keys; 1,138 vectors with 1,138 slots).  No
 # other size evicts there, and all bound an arbitrary caller.
 # charsums._twisted_phases keeps no cache of its own: _phase_vector holds
 # its output here, and _lambda_parts the phases lambda(h,k) beneath.
@@ -649,49 +655,57 @@ def _phase_vector(p: int, k: int, variant: str, m: int, cls: int | None,
                   wp: int) -> tuple:
     """The n-free part of one twisted sum at modulus k, in fixed point.
 
-    Returns (bits, hs, re, im): the units h mod k whose character class
-    chi(h) is cls (every unit when cls is None), and z_h = exp(i pi phase)
-    scaled by 2^bits, for the (h, phase) of charsums._twisted_phases.
+    Returns (bits, hs, re, im, sums): the units h mod k whose character
+    class chi(h) is cls (every unit when cls is None), and z_h = exp(i pi
+    phase) scaled by 2^bits, for the (h, phase) of charsums._twisted_phases.
     bits = wp + 16 + bitlen(len(hs)), the guard cyclo_to_complex adds for
-    a sum of that many terms.
+    a sum of that many terms.  sums maps each residue r = -n mod k that
+    _numeric_sum has met to its exact integer: at most k slots, which live
+    and die with this bounded entry, and none for residues never asked.
     """
     residues = None if cls is None else _chi_class(make_context(p), cls)
     pairs = tuple(_twisted_phases(p, variant, k, m, residues))
     bits = wp + 16 + len(pairs).bit_length()
     cis = [_fixed_cis(ph.numerator, ph.denominator, bits) for _, ph in pairs]
     return (bits, tuple(h for h, _ in pairs), tuple(c for c, _ in cis),
-            tuple(s for _, s in cis))
+            tuple(s for _, s in cis), {})
 
 
 def _numeric_sum(ctx: PrimeContext, k: int, n: int, m: int, variant: str,
-                 cls: int | None, wp: int):
-    """Numeric sum over the units h of _phase_vector of z_h * omega^(-n h).
+                 cls: int | None, wp: int) -> tuple:
+    """Numeric sum over the units h of _phase_vector of z_h * omega^(-n h),
+    as a raw mpf at wp bits.
 
     The sum is real (chi(-1) = 1 pairs h with -h), so only the real parts
     of the products of the fixed-point phases and roots are summed, as one
-    exact integer rounded once to an mpf at wp bits.  Each phase and root
-    is within 2^(0.6 - bits) of its true value, so each real part is within
+    exact integer rounded once to wp bits.  Each phase and root is within
+    2^(0.6 - bits) of its true value, so each real part is within
     2^(1.6 - bits), and the real sum, with bits = wp + 16 + bitlen(terms),
     within 2^-(wp+14) before that rounding: the budget cyclo_to_complex
-    gives the exact sum, which the tests compare against.
+    gives the exact sum, which the tests compare against.  n enters only
+    through r = -n mod k, so the integer is kept in the vector's slot r.
     """
-    bits, hs, zre, zim = _phase_vector(ctx.p, k, variant, m, cls, wp)
-    # omega_k^j = omega_2k^(2j): an odd k reads the table of 2k, so the k
-    # and 2k terms of the series share one table
-    M = k if k % 2 == 0 else 2 * k
-    cre, cim = _root_table(M, bits)
-    t = (-n % k) * (M // k)
-    re = 0
-    for h, a, b in zip(hs, zre, zim):
-        j = t * h % M
-        re += a * cre[j] - b * cim[j]
-    return mp.make_mpf(from_man_exp(re, -2 * bits, wp, "n"))
+    bits, hs, zre, zim, sums = _phase_vector(ctx.p, k, variant, m, cls, wp)
+    r = -n % k
+    re = sums.get(r)
+    if re is None:
+        # omega_k^j = omega_2k^(2j): an odd k reads the table of 2k, so the
+        # k and 2k terms of the series share one table
+        M = k if k % 2 == 0 else 2 * k
+        cre, cim = _root_table(M, bits)
+        t = r * (M // k)
+        re = 0
+        for h, a, b in zip(hs, zre, zim):
+            j = t * h % M
+            re += a * cre[j] - b * cim[j]
+        sums[r] = re
+    return from_man_exp(re, -2 * bits, wp, "n")
 
 
 @lru_cache(maxsize=2048)
-def _weight(p: int, k: int, variant: str, prec: int):
-    """lambda_k as an mpf, memoised: it does not depend on n."""
-    return lambda_k(make_context(p), k, variant, prec).value
+def _weight(p: int, k: int, variant: str, prec: int) -> tuple:
+    """lambda_k as a raw mpf, memoised: it does not depend on n."""
+    return lambda_k(make_context(p), k, variant, prec).value._mpf_
 
 
 def c_sequence(ctx: PrimeContext) -> list:
@@ -707,6 +721,53 @@ def c_sequence(ctx: PrimeContext) -> list:
     return [c0 - 2 * m for m in range(math.ceil(c0 / 2))]
 
 
+def _series_terms(ctx: PrimeContext, variant: str, n: int, k_max: int,
+                  wp: int):
+    """Yield the terms of the series at n as raw mpfs, in summation order.
+
+    Each is what mpf objects computed, call for call: mpf_mul, mpf_mul_int
+    and mpf_div at wp bits, rounding to nearest, in the same association.
+    The per-n constants (kappa*sqrt(n~), 2*pi, each sqrt(c_m) and their
+    products) are computed once; each is the same call, so no bit moves.
+    """
+    p = ctx.p
+    cms = c_sequence(ctx)
+    sig = sigma_coeffs(ctx, 1, len(cms) - 1)
+    with mp.workprec(wp):
+        sqrt_nt = mp.sqrt(to_mpf(Fraction(24 * n + p - 1, 24)))
+        kappa = mp.pi * mp.sqrt(to_mpf(ctx.kappa_sq))
+        prefac = (kappa / (2 * sqrt_nt))._mpf_
+        twopi = (2 * mp.pi)._mpf_
+        sqrt_nt, kappa = sqrt_nt._mpf_, kappa._mpf_
+        scms = [mp.sqrt(to_mpf(cm))._mpf_ for cm in cms]
+
+    def mul(a, b):
+        return mpf_mul(a, b, wp, "n")
+
+    def div(a, b: int):
+        return mpf_div(a, from_int(b), wp, "n")
+
+    ks = mul(kappa, sqrt_nt)
+    # odd k prime to p merged with 2k, over 2k; multiples of 4 over k
+    for d, mods in ([(2 * k, (k, 2 * k)) for k in range(1, k_max + 1, 2) if k % p]
+                    + [(k, (k,)) for k in range(4, k_max + 1, 4) if k % p]):
+        piece = fzero
+        for j in mods:
+            piece = mpf_add(piece, mul(_weight(p, j, variant, wp), _numeric_sum(
+                ctx, j, n, 0, variant, None, wp)), wp, "n")
+        yield mul(div(mul(prefac, piece), d), _bessel_i1_mpf(div(ks, d), wp))
+    # odd multiples K of p: L_plus (plain) or L_dagger_minus (dagger), one
+    # character class, for each m with sigma_m != 0
+    cls = 1 if variant == "plain" else -1
+    ms = [(m, mul(mpf_mul_int(twopi, sig[m], wp, "n"), scm),
+           mul(mul(twopi, scm), sqrt_nt)) for m, scm in enumerate(scms) if sig[m]]
+    for K in range(p, k_max + 1, 2 * p):
+        for m, coef, arg in ms:
+            yield mul(mul(mpf_div(div(coef, 2 * K), sqrt_nt, wp, "n"),
+                          _numeric_sum(ctx, K, n, m, variant, cls, wp)),
+                      _bessel_i1_mpf(div(arg, K), wp))
+
+
 def rademacher_eval(ctx: PrimeContext, sign: int, n: int,
                     cfg: SeriesEvalConfig) -> RademacherResult:
     """Partial sum of the convergent series for one signed partition count.
@@ -717,9 +778,12 @@ def rademacher_eval(ctx: PrimeContext, sign: int, n: int,
     coefficients as weights.  Everything runs in real arithmetic at wp =
     precision + 32 bits: chi(-1) = 1 makes each exponential sum real, and
     each is one real sum from the per-modulus fixed-point tables, within
-    2^-(wp+14) of its exact value before one rounding to wp bits.  lambda_k
-    is memoised per (p, k, variant, wp).  n~ = n + (p-1)/24 stays rational
-    until the final square root.
+    2^-(wp+14) of its exact value before one rounding to wp bits, kept per
+    residue -n mod k.  lambda_k is memoised per (p, k, variant, wp).  n~ =
+    n + (p-1)/24 stays rational until the final square root.  The terms
+    (_series_terms) are summed as raw mpf tuples by mpf_add at wp bits, bit
+    for bit what mpf objects gave; each Bessel argument is already a wp-bit
+    mpf, which arith._bessel_i1_mpf reads as bessel_i1 would after rounding.
 
     All three sub-series carry a factor 2*pi on top of the source display:
     the contour-integral step there evaluates a closed loop against
@@ -734,46 +798,15 @@ def rademacher_eval(ctx: PrimeContext, sign: int, n: int,
     if not isinstance(cfg, SeriesEvalConfig):
         raise ValueError(f"cfg must be a SeriesEvalConfig, got {cfg!r}")
     variant = "plain" if sign == 1 else "dagger"
-    p, k_max = ctx.p, cfg.k_max
     prec = cfg.precision
     wp = prec + 32
-    cms = c_sequence(ctx)
-    sig = sigma_coeffs(ctx, 1, len(cms) - 1)
+    raw = fzero
+    for term in _series_terms(ctx, variant, n, cfg.k_max, wp):
+        raw = mpf_add(raw, term, wp, "n")
     with mp.workprec(wp):
-        ntilde = to_mpf(Fraction(24 * n + p - 1, 24))
-        sqrt_nt = mp.sqrt(ntilde)
-        kappa = mp.pi * mp.sqrt(to_mpf(ctx.kappa_sq))
-        prefac = kappa / (2 * sqrt_nt)
-        raw = mp.mpf(0)
-        for k in range(1, k_max + 1, 2):
-            if k % p == 0:
-                continue
-            piece = (_weight(p, k, variant, wp)
-                     * _numeric_sum(ctx, k, n, 0, variant, None, wp)
-                     + _weight(p, 2 * k, variant, wp)
-                     * _numeric_sum(ctx, 2 * k, n, 0, variant, None, wp))
-            bess = bessel_i1(kappa * sqrt_nt / (2 * k), wp).value
-            raw += prefac * piece / (2 * k) * bess
-        for k in range(4, k_max + 1, 4):
-            if k % p == 0:
-                continue
-            piece = (_weight(p, k, variant, wp)
-                     * _numeric_sum(ctx, k, n, 0, variant, None, wp))
-            bess = bessel_i1(kappa * sqrt_nt / k, wp).value
-            raw += prefac * piece / k * bess
-        # L_plus (plain) or L_dagger_minus (dagger): one character class
-        cls = 1 if variant == "plain" else -1
-        for K in range(p, k_max + 1, 2 * p):
-            for m, cm in enumerate(cms):
-                if sig[m] == 0:
-                    continue
-                scm = mp.sqrt(to_mpf(cm))
-                bess = bessel_i1(2 * mp.pi * scm * sqrt_nt / K, wp).value
-                raw += (2 * mp.pi * sig[m] * scm / (2 * K) / sqrt_nt
-                        * _numeric_sum(ctx, K, n, m, variant, cls, wp)
-                        * bess)
+        raw = mp.make_mpf(raw)
         rounded = int(mp.nint(raw))
         dist = abs(raw - rounded)
     with mp.workprec(prec):
         return RademacherResult(n, HPReal(+raw, prec), rounded,
-                                HPReal(+dist, prec), k_max)
+                                HPReal(+dist, prec), cfg.k_max)

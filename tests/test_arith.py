@@ -10,6 +10,7 @@ from legpart.arith import (
     DEFAULT_ORDER_CAP,
     CyclotomicSum,
     OrderCapError,
+    _bessel_i1_mpf,
     _prime_factors,
     bessel_i1,
     cyclo_add,
@@ -254,6 +255,14 @@ def test_bessel_rejects_non_finite():
             bessel_i1(x, prec=64)
 
 
+def test_bessel_rejects_bools_and_non_numbers():
+    # x is a real number: True is not I_1's argument 1, nor '2' its 2
+    for x in (True, False, "2", None, 2j):
+        with pytest.raises(ValueError, match="^x must be a real number"):
+            bessel_i1(x)
+    assert bessel_i1(1.0).value == bessel_i1(1).value
+
+
 def test_precision_must_be_an_int_of_at_least_8_bits():
     one = cyclo_from_phases([0])
     for prec in (True, False, 4, 7, 64.0, "128"):
@@ -306,6 +315,27 @@ def test_bessel_matches_literal_series_bitwise():
         got = bessel_i1(x, prec).value
         want = _literal_bessel_i1(x, prec)
         assert got._mpf_ == want._mpf_, (x, prec)
+
+
+def test_bessel_kernel_matches_public_on_seeded_grid():
+    # the private kernel reads a raw mpf of at most prec + 24 bits, which
+    # bessel_i1 would round to itself: mpfs drawn at prec, at prec + 24
+    # bits and at fewer bits, over 21 binades, and zero; the literal mpf
+    # series stays the oracle of both
+    rng = random.Random(1205)
+    checked = 0
+    for prec in (8, 64, 128, 160, 192):
+        xs = [mp.mpf(0)]
+        for bits in (prec, prec + 24, max(8, prec // 3)):
+            with mp.workprec(bits):
+                xs += [mp.mpf(rng.getrandbits(bits) | 1) / 2 ** bits
+                       * mp.mpf(2) ** rng.randint(-12, 8) for _ in range(40)]
+        for x in xs:
+            got = _bessel_i1_mpf(x._mpf_, prec)
+            assert got == bessel_i1(x, prec).value._mpf_, (x, prec)
+            assert got == _literal_bessel_i1(x, prec)._mpf_, (x, prec)
+            checked += 1
+    assert checked == 5 * 121
 
 
 def test_default_precision_env(monkeypatch):

@@ -1,5 +1,6 @@
 """Oracle, product, transformation and series-evaluation tests."""
 
+import hashlib
 import importlib
 import pkgutil
 import random
@@ -7,10 +8,12 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpf_add
+from mpmath.libmp import from_man_exp, fzero, mpf_add
 
 import legpart
-from legpart.arith import HPComplex, HPReal, cyclo_to_complex
+from legpart import series
+from legpart.arith import (HPComplex, HPReal, _bessel_i1_mpf, bessel_i1,
+                           cyclo_to_complex)
 from legpart.charsums import (_chi_class, _twisted_phases,
                               kloosterman_dagger, kloosterman_L,
                               kloosterman_L_plus)
@@ -19,11 +22,12 @@ from legpart.series import (FEQ_CASES, THETA_FAMILIES, InconclusiveError,
                             RademacherResult, SeriesEvalConfig, _euler_terms,
                             _factors, _fixed_cis, _jacobi_terms, _mpf_add,
                             _numeric_sum, _phase_vector, _poch_partial,
-                            _poch_tail_bound, _root_table, _theta_pairs,
-                            _theta_quotient, _twin_products, c_sequence,
-                            oracle_table, q_pochhammer, q_pochhammer_tail,
-                            rademacher_eval, scan_vanishing, sigma_coeffs,
-                            theta_products, verify_functional_equation)
+                            _poch_tail_bound, _root_table, _series_terms,
+                            _theta_pairs, _theta_quotient, _twin_products,
+                            c_sequence, oracle_table, q_pochhammer,
+                            q_pochhammer_tail, rademacher_eval,
+                            scan_vanishing, sigma_coeffs, theta_products,
+                            verify_functional_equation)
 from legpart import verify
 
 C5 = make_context(5)
@@ -879,6 +883,38 @@ def test_rademacher_pinned_deep():
         assert r.distance_to_integer.value._mpf_ == dist, sign
 
 
+def _sweep_digest(ctx, ns, k_max, prec):
+    """SHA-256 over (raw, rounded, distance_to_integer) for both signs and
+    each n in ns, evaluated in a seeded shuffled order and then in reverse,
+    so that residue slots filled for one n are read for another; the two
+    passes must agree."""
+    cfg = SeriesEvalConfig(k_max, prec)
+    pairs = [(sign, n) for sign in (1, -1) for n in ns]
+    random.Random(21).shuffle(pairs)
+    got = {}
+    for sign, n in pairs + pairs[::-1]:
+        r = rademacher_eval(ctx, sign, n, cfg)
+        key = (r.raw.value._mpf_, r.rounded, r.distance_to_integer.value._mpf_)
+        assert got.setdefault((sign, n), key) == key, (ctx.p, sign, n)
+    digest = hashlib.sha256()
+    for sign in (1, -1):
+        for n in ns:
+            digest.update(repr(got[(sign, n)]).encode())
+    return digest.hexdigest()
+
+
+def test_rademacher_pinned_sweep():
+    # every bit of raw, rounded and distance_to_integer over the benchmark's
+    # sweep (p = 17, n = 1..130, k_max = 60, 128 bits) and short p = 5 and
+    # p = 13 grids, as hashed from the mpf-object evaluator
+    assert _sweep_digest(C17, range(1, 131), 60, 128) == (
+        "e60b2ee0e5977467ba44fab4bd6255ad64b2d3b542308b16daef750e4f08cfc4")
+    assert _sweep_digest(C5, range(1, 31), 20, 64) == (
+        "0a7480fc2c5c34441bbd88284c9ea5c5d1962365c273707137169a62103e155e")
+    assert _sweep_digest(C13, range(1, 31), 40, 96) == (
+        "6b85d590f2c88f56653ab951b9c28e1f715061a4ec465c2108b8549531c91fac")
+
+
 def test_rademacher_result_invariant():
     cfg = SeriesEvalConfig(k_max=40, precision=96)
     r = rademacher_eval(C13, 1, 9, cfg)
@@ -973,7 +1009,7 @@ def test_numeric_sums_match_exact_sums():
                     cases.append((K, n, m, "dagger", -1,
                                   kloosterman_dagger(ctx, K, n, m)))
         for k, n, m, variant, cls, exact in cases:
-            got = _numeric_sum(ctx, k, n, m, variant, cls, wp)
+            got = mp.make_mpf(_numeric_sum(ctx, k, n, m, variant, cls, wp))
             want = cyclo_to_complex(exact.sum, wp).value
             with mp.workprec(wp):
                 assert abs(got - want) <= tol_abs + tol_rel * abs(want), \
@@ -986,8 +1022,9 @@ def test_numeric_sums_are_real():
     # chi(-1) = 1 at these primes, so -h mod k is a unit of the same class
     # as h; its phase is the negated one, so z_(-h) = conj(z_h) and each
     # sum L(k, n) is real.  _numeric_sum returns only the real half of its
-    # fixed-point dot product; the imaginary half, built here from the same
-    # integers, stays inside the error budget 2^-(wp+14) of zero.  k < 40
+    # fixed-point dot product, as a raw mpf; the imaginary half, built here
+    # from the same integers, stays inside the error budget 2^-(wp+14) of
+    # zero.  k < 40
     # prime to p, and K = p, 3p, 5p for every m with sigma_m != 0, in the
     # classes the series sums over
     wp = 160
@@ -1003,7 +1040,7 @@ def test_numeric_sums_are_real():
         for k, m, variant, cls in cases:
             residues = None if cls is None else _chi_class(ctx, cls)
             phases = dict(_twisted_phases(p, variant, k, m, residues))
-            bits, hs, zre, zim = _phase_vector(p, k, variant, m, cls, wp)
+            bits, hs, zre, zim, sums = _phase_vector(p, k, variant, m, cls, wp)
             assert list(hs) == list(phases)
             at = {h: i for i, h in enumerate(hs)}
             for i, h in enumerate(hs):
@@ -1020,11 +1057,75 @@ def test_numeric_sums_are_real():
                 im = sum(a * cim[j] + b * cre[j]
                          for j, a, b in zip(js, zre, zim))
                 got = _numeric_sum(ctx, k, n, m, variant, cls, wp)
-                assert type(got) is mp.mpf
-                assert got == mp.make_mpf(from_man_exp(re, -2 * bits, wp, "n"))
+                # a real mpf (sign, man, exp, bc), not a complex pair
+                assert got == from_man_exp(re, -2 * bits, wp, "n")
+                assert sums[-n % k] == re
                 # |im| / 2^(2 bits) <= 2^-(wp+14), in exact integers
                 assert abs(im) << (wp + 14) <= 1 << (2 * bits), \
                     (p, k, n, m, variant)
+            assert sorted(sums) == list(range(k))
+
+
+def _uncached_sum(p, k, r, m, variant, cls, wp):
+    """The exact integer of _numeric_sum at residue r = -n mod k, from a
+    freshly built phase vector and root table, no memo read."""
+    bits, hs, zre, zim, _ = _phase_vector.__wrapped__(p, k, variant, m, cls, wp)
+    M = k if k % 2 == 0 else 2 * k
+    cre, cim = _root_table.__wrapped__(M, bits)
+    js = [r * (M // k) * h % M for h in hs]
+    return bits, sum(a * cre[j] - b * cim[j] for j, a, b in zip(js, zre, zim))
+
+
+def test_residue_slots_match_uncached_sums():
+    # each slot of _phase_vector holds the sum of one residue r = -n mod k:
+    # filled in a seeded order from a cold cache, then read back warm, every
+    # slot and every returned mpf equals the uncached sum, at p = 17 for k
+    # prime to p (m = 0, every unit) and K = 51 (each m with sigma_m != 0,
+    # in the class each variant sums over), both variants
+    wp = 160
+    sig = sigma_coeffs(C17, 1, len(c_sequence(C17)) - 1)
+    cases = [(k, 0, variant, None) for k in (1, 2, 4, 7, 34, 51, 60)
+             for variant in ("plain", "dagger")]
+    cases += [(51, m, variant, cls) for m in range(len(sig)) if sig[m]
+              for variant, cls in (("plain", 1), ("dagger", -1))]
+    want = {case: [_uncached_sum(17, case[0], r, *case[1:], wp)
+                   for r in range(case[0])] for case in cases}
+    rng = random.Random(34)
+    _phase_vector.cache_clear()
+    for warm in (False, True):
+        for case in cases:
+            k, m, variant, cls = case
+            order = list(range(k))
+            rng.shuffle(order)
+            for r in order:
+                bits, re = want[case][r]
+                n = rng.randrange(1, 400) * k - r
+                got = _numeric_sum(C17, k, n, m, variant, cls, wp)
+                assert got == from_man_exp(re, -2 * bits, wp, "n"), (case, r)
+            sums = _phase_vector(17, k, variant, m, cls, wp)[4]
+            assert sums == dict(enumerate(re for _, re in want[case])), case
+
+
+def test_bessel_kernel_matches_public_on_series_arguments(monkeypatch):
+    # every Bessel argument criterion 5 forms (p = 17, n <= 200, k <= 222,
+    # 128 bits, so wp = 160; the arguments do not depend on the sign or the
+    # sums, which are stubbed out) goes to the private kernel, and there it
+    # must give what the guarded public bessel_i1 gives
+    args = set()
+
+    def record(x, prec):
+        args.add((x, prec))
+        return fzero
+
+    monkeypatch.setattr(series, "_bessel_i1_mpf", record)
+    monkeypatch.setattr(series, "_numeric_sum", lambda *a: fzero)
+    for n in range(1, 201):
+        for _ in _series_terms(C17, "plain", n, 222, 160):
+            pass
+    assert len(args) > 30000
+    for x, prec in args:
+        want = bessel_i1(mp.make_mpf(x), prec).value._mpf_
+        assert _bessel_i1_mpf(x, prec) == want, x
 
 
 def test_fixed_cis_memo_matches_literal():
@@ -1066,7 +1167,7 @@ def test_phase_vectors_and_root_tables_match_literal_rebuild():
         bits = wp + 16 + len(pairs).bit_length()
         cis = [literal(ph.numerator, ph.denominator, bits) for _, ph in pairs]
         want = (bits, tuple(h for h, _ in pairs), tuple(c for c, _ in cis),
-                tuple(s for _, s in cis))
+                tuple(s for _, s in cis), {})
         got = _phase_vector.__wrapped__(ctx.p, k, variant, m, cls, wp)
         assert got == want, (ctx.p, k, variant, m)
         M = k if k % 2 == 0 else 2 * k
@@ -1093,3 +1194,13 @@ def test_series_path_caches_are_bounded():
     assert {"_fixed_cis", "_phase_vector", "_root_table", "_weight",
             "_twin_products", "_lambda_parts", "_chi_table", "make_context",
             "_prime_factors"} <= found
+    # the residue slots of _numeric_sum, at most k per _phase_vector entry,
+    # live in its entries, so its bound holds them too: one slot per residue
+    # asked, and a cleared entry takes its slots with it
+    _phase_vector.cache_clear()
+    sums = _phase_vector(17, 7, "plain", 0, None, 96)[4]
+    for n in (3, 10, 4):
+        _numeric_sum(C17, 7, n, 0, "plain", None, 96)
+    assert sorted(sums) == [3, 4]
+    _phase_vector.cache_clear()
+    assert _phase_vector(17, 7, "plain", 0, None, 96)[4] == {}
