@@ -68,6 +68,28 @@ from .series import (
     verify_functional_equation,
 )
 
+
+def cache_stats() -> dict:
+    """Size, bound, hits and misses of every lru_cache in legpart, keyed
+    "module.function": what the process-global caches hold at this point,
+    so that a run can explain where its time went.  The modules are
+    scanned, so a cache added to any of them is reported."""
+    import importlib
+    import pkgutil
+
+    stats = {}
+    for info in pkgutil.iter_modules(__path__):
+        mod = importlib.import_module(f"{__name__}.{info.name}")
+        for name, obj in vars(mod).items():
+            if (hasattr(obj, "cache_info")
+                    and obj.__module__ == mod.__name__):
+                ci = obj.cache_info()
+                stats[f"{info.name}.{name}"] = {
+                    "size": ci.currsize, "maxsize": ci.maxsize,
+                    "hits": ci.hits, "misses": ci.misses}
+    return stats
+
+
 __all__ = [
     "CyclotomicSum",
     "HPComplex",
@@ -83,6 +105,7 @@ __all__ = [
     "SignedPartitionTable",
     "bessel_i1",
     "c_sequence",
+    "cache_stats",
     "check_congruence_mod16",
     "check_congruence_modThK",
     "cyclo_add",

@@ -237,9 +237,15 @@ def cyclo_from_phases(phases, weights=None) -> CyclotomicSum:
     """Exact sum of weights[i] * exp(i pi phases[i]); phases in half turns.
 
     The order is twice the lcm of the phase denominators (always even).
-    Raises OrderCapError if that exceeds DEFAULT_ORDER_CAP, and ValueError
+    Raises OrderCapError if that exceeds DEFAULT_ORDER_CAP, ValueError for
+    a phase that is not an int or a Fraction (a bool, a str or a float,
+    which would be read as the binary fraction it stores), and ValueError
     for a weight that is not an int, so the sum stays over the integers.
     """
+    phases = list(phases)
+    for ph in phases:
+        if isinstance(ph, bool) or not isinstance(ph, (int, Fraction)):
+            raise ValueError(f"phase must be an int or a Fraction, got {ph!r}")
     phases = [Fraction(ph) % 2 for ph in phases]
     if weights is None:
         weights = [1] * len(phases)
@@ -259,7 +265,8 @@ def cyclo_from_phases(phases, weights=None) -> CyclotomicSum:
 
 def cyclo_add_phase(s: CyclotomicSum, phase,
                     weight: int = 1) -> CyclotomicSum:
-    """s + weight * exp(i pi phase), rescaling the order to the lcm if needed."""
+    """s + weight * exp(i pi phase), rescaling the order to the lcm if
+    needed; phase and weight are checked as in cyclo_from_phases."""
     return cyclo_add(s, cyclo_from_phases([phase], [weight]))
 
 

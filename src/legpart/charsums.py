@@ -2,9 +2,10 @@
 
 The 24th-root-of-unity-like factor attached to each fraction h/k of the
 dissection is exp(i pi L(h,k)) with L a rational combination of Dedekind
-sums.  Everything here is exact: phases are Fractions in half turns, the
-complete exponential sums are cyclotomic integers, and the congruence
-checkers work on cleared integers.
+sums.  Everything here is exact: phases are Fractions in half turns (held
+as int numerators over one denominator per modulus until a caller needs
+one), the complete exponential sums are cyclotomic integers, and the
+congruence checkers work on cleared integers.
 
 Two independent routes to the phase exist on purpose: lambda_exponent goes
 through Dedekind sums, phi_root through the double sawtooth sums over the
@@ -89,29 +90,29 @@ class TauCount:
 
 
 # One row per (prime, modulus k), shared by both signs: 267 for one series at
-# p = 17 and k_max = 222, 181 after the series_deep benchmark, 526 after the
+# p = 17 and k_max = 222, 181 after the series_deep benchmark, 645 after the
 # whole test suite in one process, so 2048, the size of series._phase_vector,
 # never evicts there.  The exact sums are not cached, so each one reads its
 # phases from here again.  One lambda_exponent at a new modulus pays for the
-# whole row: O(min(a, k - a)) int steps per distinct s_chi argument a mod k,
-# O(log k) per classical sum, and two Fractions per unit h <= k/2.
+# whole row: O(min(a, k - a)) int steps per distinct s_chi argument a mod k
+# and O(log k) per classical sum, for each unit h <= k/2.
 @lru_cache(maxsize=2048)
 def _lambda_parts(p: int, k: int) -> tuple:
-    """The finished phases (plain, dagger) of every h mod k, by the formulas
-    in lambda_exponent, with None where h is not a unit.  gcd(0, 1) = 1, so
-    the k=1 row is the single spoke h=0.
+    """The phases (plain, dagger) of every h mod k, by the formulas in
+    lambda_exponent, as (den, row): row[h] holds the two int numerators
+    over the one denominator den = 24 phi k^2, or None where h is not a
+    unit.  gcd(0, 1) = 1, so the k=1 row is the single spoke h=0.
 
-    The row is built in ints over one denominator 24 phi k^2: each s_chi
-    is its numerator 4 k phi k s_chi, computed once per pair a, k - a of
-    arguments mod k, as it is odd in a (so 0 at a = k/2), and
-    s(2h,k) - s(2hp,k) is 12 k times itself, by reciprocity.
-    Every part is odd in h, so only h <= k/2 is computed and
-    row[k-h] = -row[h].
+    Each s_chi is its numerator 4 k phi k s_chi, computed once per pair
+    a, k - a of arguments mod k, as it is odd in a (so 0 at a = k/2), and
+    s(2h,k) - s(2hp,k) is 12 k times itself, by reciprocity.  Every part
+    is odd in h, so only h <= k/2 is computed and row[k-h] = -row[h].  The
+    numerators are not reduced: lambda_exponent makes the one Fraction a
+    caller sees, and the twisted sums reduce theirs.
     """
     phi = _phi(p, k)
     table = _chi_table(make_context(p).chi, k)
     s_chi = {}
-    den = 24 * phi * k * k
     row = [None] * k
     for h in range(k // 2 + 1):
         if math.gcd(h, k) != 1:
@@ -123,11 +124,10 @@ def _lambda_parts(p: int, k: int) -> tuple:
         twisted = 6 * s_chi[h] - 3 * s_chi[2 * h % k]
         tail = phi * k * (_dedekind_s_12k(2 * h, k)
                           - _dedekind_s_12k(2 * h * p, k))
-        plain = Fraction(twisted + tail, den)
-        dagger = Fraction(tail - twisted, den)
-        row[-h] = (-plain, -dagger)  # row[k-h]; h = -h (mod k) at k = 1, 2
-        row[h] = (plain, dagger)
-    return tuple(row)
+        # row[-h] is row[k-h], and h = -h (mod k) at k = 1, 2
+        row[-h] = (-twisted - tail, twisted - tail)
+        row[h] = (twisted + tail, tail - twisted)
+    return 24 * phi * k * k, tuple(row)
 
 
 def lambda_exponent(ctx: PrimeContext, h: int, k: int,
@@ -143,8 +143,9 @@ def lambda_exponent(ctx: PrimeContext, h: int, k: int,
     _check_int("k", k, 1)
     if math.gcd(h, k) != 1:
         raise ValueError("h and k must be coprime")
-    parts = _lambda_parts(ctx.p, k)[h % k]
-    return PhaseExponent(parts[VARIANTS.index(variant)], variant)
+    den, row = _lambda_parts(ctx.p, k)
+    return PhaseExponent(Fraction(row[h % k][VARIANTS.index(variant)], den),
+                         variant)
 
 
 def _sawtooth_pair_sum(ctx: PrimeContext, members, h: int, k: int) -> Fraction:
@@ -226,39 +227,45 @@ def _chi_class(ctx: PrimeContext, sign: int) -> tuple:
 
 
 def _twisted_phases(p: int, variant: str, k: int, m: int,
-                    residues: tuple | None):
-    """The n-free part of a twisted sum: (h, phase) over the units h mod k
-    with h mod p in residues (every unit when residues is None, so the k=1
-    spoke is h=0), where phase = lambda(h,k) - 2(m inv mod k)/k reduced
-    mod 2.
+                    residues: tuple | None) -> tuple:
+    """The n-free part of a twisted sum, as (den, pairs): pairs lists (h,
+    num) over the units h mod k with h mod p in residues (every unit when
+    residues is None, so the k=1 spoke is h=0), where num/den =
+    lambda(h,k) - 2(m inv mod k)/k reduced mod 2, 0 <= num < 2 den, over
+    the row's denominator den = 24 phi k^2 of _lambda_parts.
 
     inv is h^{-1} mod k for even k and (2h)^{-1} mod k for odd k.  It is not
     formed when m = 0 (mod k), which also covers the k=1 spoke h=0.  The
-    exact sums here and the fixed-point ones of the series both read it.
+    twist 2/k is 48 phi k over den, so the phases stay ints.  The exact sums
+    here and the fixed-point ones of the series both read it.
     """
     at = VARIANTS.index(variant)
+    den, row = _lambda_parts(p, k)
+    step = 2 * den // k
     m %= k
-    for h, parts in enumerate(_lambda_parts(p, k)):
+    pairs = []
+    for h, parts in enumerate(row):
         if parts is None or residues is not None and h % p not in residues:
             continue
-        phase = parts[at]
+        num = parts[at]
         if m:
-            inv = pow(h if k % 2 == 0 else 2 * h, -1, k)
-            phase -= Fraction(2 * (m * inv % k), k)
-        yield h, phase % 2
+            num -= step * (m * pow(h if k % 2 == 0 else 2 * h, -1, k) % k)
+        pairs.append((h, num % (2 * den)))
+    return den, pairs
 
 
 def _twisted_sum(ctx: PrimeContext, variant: str, k: int, n: int, m: int,
                  residues: tuple | None) -> CyclotomicSum:
-    """Exact sum over the (h, phase) of _twisted_phases of
-    exp(i pi (phase - 2(n h mod k)/k)).  It is built afresh on each call.
+    """Exact sum over the (h, num) of _twisted_phases of
+    exp(i pi (num/den - 2(n h mod k)/k)).  It is built afresh on each call.
     Every Kloosterman entry point checks its k and passes its n and m
     through here."""
     _check_int("n", n)
     _check_int("m", m)
-    return cyclo_from_phases(
-        [phase - Fraction(2 * (n * h % k), k)
-         for h, phase in _twisted_phases(ctx.p, variant, k, m, residues)])
+    den, pairs = _twisted_phases(ctx.p, variant, k, m, residues)
+    step = 2 * den // k
+    return cyclo_from_phases([Fraction(num - step * (n * h % k), den)
+                              for h, num in pairs])
 
 
 def kloosterman_L(ctx: PrimeContext, k: int, n: int,

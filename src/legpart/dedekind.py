@@ -99,7 +99,7 @@ def _phi(p: int, k: int) -> int:
 # reaches 2k <= 442 at k_max = 222, though only 267 distinct moduli at
 # p = 17; the verify suites reach k <= 20p for the primes 5, 13 and 17.
 # `legpart verify --suite all --scale full` leaves 357 keys here; the whole
-# test suite, run in one process, 558.  1024 never evicts there, and still
+# test suite, run in one process, 667.  1024 never evicts there, and still
 # bounds an arbitrary caller.
 @lru_cache(maxsize=1024)
 def _chi_table(chi: tuple, k: int) -> tuple:

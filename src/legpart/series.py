@@ -28,9 +28,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import mp
-from mpmath.libmp import (from_int, from_man_exp, from_rational, fzero,
-                         mpf_add, mpf_cos_sin_pi, mpf_div, mpf_mul,
-                         mpf_mul_int, to_fixed)
+from mpmath.libmp import (bitcount, from_int, from_man_exp, from_rational,
+                         fzero, mpf_add, mpf_cos_sin_pi, mpf_div, mpf_mul,
+                         mpf_mul_int, pi_fixed, to_fixed)
+from mpmath.libmp.libelefun import cos_sin_basecase
 
 from .arith import (HPComplex, HPReal, _bessel_i1_mpf, _check_choice,
                     _check_int, _precision, default_precision, to_mpf)
@@ -614,13 +615,49 @@ def verify_functional_equation(ctx: PrimeContext, case: str, h: int, k: int,
 @lru_cache(maxsize=65536)
 def _fixed_cis(num: int, den: int, bits: int) -> tuple:
     """(cos, sin) of pi*num/den as integers scaled by 2^bits, each within
-    2^(0.1 - bits) of the true value (floor after an evaluation at bits+8).
+    2^(0.1 - bits) of the true value: the floor, by to_fixed, of
+    mpf_cos_sin_pi(from_rational(num, den, bits+8), bits+8), bit for bit,
+    in ints without the mpf wrappers.
+
+    x = num/den is truncated toward zero to prec = bits+8 bits as
+    from_rational does; mpf_cos_sin's pi branch then takes off the nearest
+    half-integer n/2, scales the rest by pi_fixed at wp bits and calls
+    cos_sin_basecase, and each result is truncated toward zero to prec
+    bits, as from_man_exp rounds it, and floored to bits, as to_fixed does.
+    wp = prec + 10 - mag, mag = bitcount(rest) + its exponent, with libmp's
+    own bitcount: on the python backend it gives 0 for a negative rest (x
+    just below a half-integer), so there wp is about 2 prec, and so it is
+    here.  num = 0, a half-integer x and a tiny x take the literal call.
 
     Memoised: callers pass num/den in lowest terms, so each distinct phase
     is evaluated once per bits.  from_rational rounds correctly, so an
     unreduced twin of a phase would give the same integers."""
-    c, s = mpf_cos_sin_pi(from_rational(num, den, bits + 8), bits + 8)
-    return to_fixed(c, bits), to_fixed(s, bits)
+    prec = bits + 8
+    a = abs(num)
+    if a:
+        t = prec - a.bit_length() + den.bit_length()
+        q = (a << t) // den if t >= 0 else a // (den << -t)
+        if q >> prec:
+            q, t = q >> 1, t - 1
+        z = (q & -q).bit_length() - 1
+        man, exp = q >> z, z - t        # x = man 2^exp, man odd
+    if not a or exp >= -1 or man.bit_length() + exp < -prec - 10:
+        c, s = mpf_cos_sin_pi(from_rational(num, den, prec), prec)
+        return to_fixed(c, bits), to_fixed(s, bits)
+    n = ((man >> (-exp - 2)) + 1) >> 1
+    man -= n << (-exp - 1)
+    # exp + wp = prec + 10 - bitcount(man) >= 10, as |man| < 2^prec
+    wp = prec + 10 - bitcount(man) - exp
+    c, s = cos_sin_basecase((man << exp + wp) * pi_fixed(wp) >> wp, wp)
+    c, s = ((c, s), (-s, c), (-c, -s), (s, -c))[n & 3]
+    out = []
+    for v in (c, -s if num < 0 else s):
+        # |v| < 2^(wp+2) and wp >= prec + 11, so wp - cut > bits and the
+        # floor to bits is a right shift
+        cut = max(abs(v).bit_length() - prec, 0)
+        w = abs(v) >> cut
+        out.append((-w if v < 0 else w) >> wp - cut - bits)
+    return tuple(out)
 
 
 # Sizes of the series caches.  One series evaluation at (p, precision,
@@ -628,10 +665,11 @@ def _fixed_cis(num: int, den: int, bits: int) -> tuple:
 # odd k and 2k, multiples of 4 prime to p, and each odd multiple of p once
 # per nonzero sigma_m, 274 at p = 17 and k_max = 222; each vector holds a
 # slot per residue -n mod k asked, at most k.  Both variants at k_max = 222
-# hold 548 vectors, 163 root tables and 520 weights.  The benchmark's
-# series_sweep leaves 150 vectors with 6,224 slots, series_deep 370 with
-# 2,418, 110 root tables and 354 weights; the whole test suite in one process
-# peaks at 894 vectors with 31,404 slots, 216 root tables and 824 weights.
+# hold 548 vectors, 163 root tables and 64 weights, one per k mod 2p prime
+# to p, whatever k_max.  The benchmark's series_sweep leaves 150 vectors
+# with 6,224 slots, series_deep 370 with 2,418, 110 root tables and 64
+# weights; the whole test suite in one process peaks at 894 vectors with
+# 31,404 slots, 216 root tables and 192 weights.
 # The _fixed_cis memo holds 8,161 entries after series_deep and peaks at
 # 24,833 in the test suite; its 65,536 evict on a cold n = 1000, k_max = 460
 # run, both signs (75,716 distinct keys; 1,138 vectors with 1,138 slots).  No
@@ -664,9 +702,11 @@ def _phase_vector(p: int, k: int, variant: str, m: int, cls: int | None,
     and die with this bounded entry, and none for residues never asked.
     """
     residues = None if cls is None else _chi_class(make_context(p), cls)
-    pairs = tuple(_twisted_phases(p, variant, k, m, residues))
+    den, pairs = _twisted_phases(p, variant, k, m, residues)
     bits = wp + 16 + len(pairs).bit_length()
-    cis = [_fixed_cis(ph.numerator, ph.denominator, bits) for _, ph in pairs]
+    gs = [math.gcd(num, den) for _, num in pairs]
+    cis = [_fixed_cis(num // g, den // g, bits)
+           for (_, num), g in zip(pairs, gs)]
     return (bits, tuple(h for h, _ in pairs), tuple(c for c, _ in cis),
             tuple(s for _, s in cis), {})
 
@@ -704,7 +744,10 @@ def _numeric_sum(ctx: PrimeContext, k: int, n: int, m: int, variant: str,
 
 @lru_cache(maxsize=2048)
 def _weight(p: int, k: int, variant: str, prec: int) -> tuple:
-    """lambda_k as a raw mpf, memoised: it does not depend on n."""
+    """lambda_k as a raw mpf, memoised: it does not depend on n.  It reads
+    k only through k mod p and k mod 2, so the series asks for it at k mod
+    2p (2p for k = 0 mod 2p): one weight per residue, 2(p - 1) per variant
+    and precision, whatever k_max."""
     return lambda_k(make_context(p), k, variant, prec).value._mpf_
 
 
@@ -753,8 +796,9 @@ def _series_terms(ctx: PrimeContext, variant: str, n: int, k_max: int,
                     + [(k, (k,)) for k in range(4, k_max + 1, 4) if k % p]):
         piece = fzero
         for j in mods:
-            piece = mpf_add(piece, mul(_weight(p, j, variant, wp), _numeric_sum(
-                ctx, j, n, 0, variant, None, wp)), wp, "n")
+            piece = mpf_add(piece, mul(
+                _weight(p, j % (2 * p) or 2 * p, variant, wp),
+                _numeric_sum(ctx, j, n, 0, variant, None, wp)), wp, "n")
         yield mul(div(mul(prefac, piece), d), _bessel_i1_mpf(div(ks, d), wp))
     # odd multiples K of p: L_plus (plain) or L_dagger_minus (dagger), one
     # character class, for each m with sigma_m != 0
@@ -779,11 +823,12 @@ def rademacher_eval(ctx: PrimeContext, sign: int, n: int,
     precision + 32 bits: chi(-1) = 1 makes each exponential sum real, and
     each is one real sum from the per-modulus fixed-point tables, within
     2^-(wp+14) of its exact value before one rounding to wp bits, kept per
-    residue -n mod k.  lambda_k is memoised per (p, k, variant, wp).  n~ =
-    n + (p-1)/24 stays rational until the final square root.  The terms
-    (_series_terms) are summed as raw mpf tuples by mpf_add at wp bits, bit
-    for bit what mpf objects gave; each Bessel argument is already a wp-bit
-    mpf, which arith._bessel_i1_mpf reads as bessel_i1 would after rounding.
+    residue -n mod k.  lambda_k is memoised per (p, k mod 2p, variant,
+    wp).  n~ = n + (p-1)/24 stays rational until the final square root.
+    The terms (_series_terms) are summed as raw mpf tuples by mpf_add at wp
+    bits, bit for bit what mpf objects gave; each Bessel argument is
+    already a wp-bit mpf, which arith._bessel_i1_mpf reads as bessel_i1
+    would after rounding.
 
     All three sub-series carry a factor 2*pi on top of the source display:
     the contour-integral step there evaluates a closed loop against

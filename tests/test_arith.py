@@ -140,6 +140,22 @@ def test_weights_must_be_ints():
     assert cyclo_from_phases([0, 1], [3, -2]).coeffs == (5, 0)
 
 
+def test_phases_must_be_ints_or_fractions():
+    # True would be read as the phase 1, '1/3' parsed as a string, and 0.1
+    # taken as its binary fraction, whose 2^55 denominator then trips the
+    # order cap with a misleading OrderCapError
+    one = cyclo_from_phases([0])
+    for ph in (True, False, "1/3", 0.1, 1.0, mp.mpf(1), None):
+        with pytest.raises(ValueError, match="phase must be an int or a "
+                                             "Fraction"):
+            cyclo_from_phases([0, ph])
+        with pytest.raises(ValueError, match="phase must be an int or a "
+                                             "Fraction"):
+            cyclo_add_phase(one, ph)
+    assert cyclo_from_phases([1, Fraction(-1)]).coeffs == (-2, 0)
+    assert cyclo_is_zero(cyclo_add_phase(one, Fraction(3)))
+
+
 def test_cyclo_is_zero_examples():
     sixth = cyclo_from_phases([Fraction(2 * j, 6) for j in range(6)])
     assert cyclo_is_zero(sixth)

@@ -77,13 +77,21 @@ def _literal_lambda_row(p, k):
     return tuple(row)
 
 
+def _row_fractions(den, row):
+    """A _lambda_parts row of int numerators over den, as Fractions."""
+    return tuple(None if parts is None
+                 else (Fraction(parts[0], den), Fraction(parts[1], den))
+                 for parts in row)
+
+
 def test_lambda_parts_rows_match_per_unit_formula(monkeypatch):
     for p in (5, 13, 17):
         for k in [*range(1, 121), 3 * p, 6 * p, 10 * p, 301, 442]:
-            row = _lambda_parts.__wrapped__(p, k)
+            den, nums = _lambda_parts.__wrapped__(p, k)
+            row = _row_fractions(den, nums)
             assert len(row) == k
             assert row == _literal_lambda_row(p, k), (p, k)
-            assert _lambda_parts(p, k) == row, (p, k)
+            assert _lambda_parts(p, k) == (den, nums), (p, k)
     # the exact sums and the series' phase vectors read the rows, not the
     # per-unit accessor
     def refuse(*args, **kwargs):
@@ -92,9 +100,11 @@ def test_lambda_parts_rows_match_per_unit_formula(monkeypatch):
     monkeypatch.setattr(legpart.charsums, "lambda_exponent", refuse)
     for k in (1, 2, 3, 12, 17, 51):
         for variant in ("plain", "dagger"):
-            got = dict(_twisted_phases(17, variant, k, 0, None))
+            den, pairs = _twisted_phases(17, variant, k, 0, None)
+            got = {h: Fraction(num, den) for h, num in pairs}
+            row = _row_fractions(*_lambda_parts(17, k))
             assert got == {h: parts[variant == "dagger"] % 2
-                           for h, parts in enumerate(_lambda_parts(17, k))
+                           for h, parts in enumerate(row)
                            if parts is not None}, (k, variant)
     assert kloosterman_L_plus(C17, 51, 8, 2).is_zero()
     assert not kloosterman_L(C17, 3, 1, "dagger").is_zero()
@@ -105,7 +115,8 @@ def test_lambda_parts_rows_are_odd_in_h():
     # obeys it, and the rows, which compute h <= k/2 only, keep it
     for p in (5, 13, 17):
         for k in [*range(1, 61), 3 * p, 6 * p, 301]:
-            for row in (_literal_lambda_row(p, k), _lambda_parts(p, k)):
+            for row in (_literal_lambda_row(p, k),
+                        _row_fractions(*_lambda_parts(p, k))):
                 for h, parts in enumerate(row):
                     mirror = row[-h]
                     if parts is None:
@@ -214,6 +225,22 @@ def test_lambda_k_pinned_values():
     for prec in (True, 4, 128.0):
         with pytest.raises(ValueError):
             lambda_k(C17, 3, "plain", prec)
+
+
+def test_lambda_k_is_periodic_mod_2p():
+    # lambda_k reads k only through k mod p and k mod 2, so it is the same
+    # mpf at k and at k mod 2p (2p at k = 0 mod 2p), bit for bit: the key
+    # of the series' weight memo
+    for ctx in (C5, C13, C17):
+        p = ctx.p
+        for variant in ("plain", "dagger"):
+            for prec in (64, 160, 300):
+                base = {r: lambda_k(ctx, r, variant, prec).value._mpf_
+                        for r in range(1, 2 * p + 1)}
+                for k in range(1, 700):
+                    got = lambda_k(ctx, k, variant, prec).value._mpf_
+                    assert got == base[k % (2 * p) or 2 * p], \
+                        (p, k, variant, prec)
 
 
 def test_lambda_k_even_p5():

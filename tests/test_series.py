@@ -1,14 +1,18 @@
 """Oracle, product, transformation and series-evaluation tests."""
 
+import ast
 import hashlib
 import importlib
+import inspect
 import pkgutil
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from mpmath import mp
-from mpmath.libmp import from_man_exp, fzero, mpf_add
+from mpmath.libmp import (from_man_exp, from_rational, fzero, mpf_add,
+                         mpf_cos_sin_pi, to_fixed)
 
 import legpart
 from legpart import series
@@ -1039,7 +1043,8 @@ def test_numeric_sums_are_real():
                   for variant, cls in (("plain", 1), ("dagger", -1))]
         for k, m, variant, cls in cases:
             residues = None if cls is None else _chi_class(ctx, cls)
-            phases = dict(_twisted_phases(p, variant, k, m, residues))
+            den, pairs = _twisted_phases(p, variant, k, m, residues)
+            phases = {h: Fraction(num, den) for h, num in pairs}
             bits, hs, zre, zim, sums = _phase_vector(p, k, variant, m, cls, wp)
             assert list(hs) == list(phases)
             at = {h: i for i, h in enumerate(hs)}
@@ -1128,26 +1133,85 @@ def test_bessel_kernel_matches_public_on_series_arguments(monkeypatch):
         assert _bessel_i1_mpf(x, prec) == want, x
 
 
-def test_fixed_cis_memo_matches_literal():
-    # the memo against the uncached definition, asking for each phase at
-    # several bits in turn; from_rational rounds correctly, so an unreduced
-    # twin of a phase gives the same integers in every bit
-    literal = _fixed_cis.__wrapped__
+def _literal_cis(num, den, bits):
+    """(cos, sin) of pi*num/den by the libmpf calls, evaluated at bits+8 and
+    floored to multiples of 2^-bits: the oracle for the int kernel."""
+    c, s = mpf_cos_sin_pi(from_rational(num, den, bits + 8), bits + 8)
+    return to_fixed(c, bits), to_fixed(s, bits)
+
+
+def _series_cis_keys(monkeypatch, primes, k_max, wp):
+    """Every (num, den, bits) a cold series builds at these primes and
+    k_max, both signs, at working precision wp, with the Bessel values of
+    its terms left out.  Fresh table caches stand in for the module's, so
+    those are left as they were."""
+    keys = set()
+    kernel = _fixed_cis.__wrapped__
+
+    def record(*key):
+        keys.add(key)
+        return kernel(*key)
+
+    with monkeypatch.context() as mpatch:
+        mpatch.setattr(series, "_fixed_cis", record)
+        mpatch.setattr(series, "_bessel_i1_mpf", lambda x, prec: fzero)
+        for table in (_phase_vector, _root_table):
+            mpatch.setattr(series, table.__name__,
+                           lru_cache(maxsize=None)(table.__wrapped__))
+        for p in primes:
+            for variant in ("plain", "dagger"):
+                for _ in _series_terms(make_context(p), variant, 1000, k_max,
+                                       wp):
+                    pass
+    return keys
+
+
+def test_fixed_cis_memo_matches_literal(monkeypatch):
+    # the int kernel against the literal libmpf call: on a seeded grid
+    # (den < 2500; num negative, zero and unreduced, so that many keys lie
+    # just below a half-integer, where libmp's bitcount of the negative
+    # rest is 0 and wp doubles; bits 24..430, so that bits >= 392 puts wp
+    # past 400, where cos_sin_basecase sums its own series), and on every
+    # key a cold series at p = 5, 13, 17 and k_max = 150 builds at 128 bits
+    kernel = _fixed_cis.__wrapped__
+    rng = random.Random(22)
+    keys = _series_cis_keys(monkeypatch, (5, 13, 17), 150, 160)
+    assert len(keys) > 10000
+    for _ in range(12000):
+        den = rng.randrange(1, 2500)
+        keys.add((rng.randrange(-3 * den, 3 * den + 1), den,
+                  rng.choice((24, 61, 128, 193, 392, 409, 430))))
+    keys |= {(0, den, bits) for den in (1, 2, 7) for bits in (24, 430)}
+    # found by search: on these the literal call's wp, from a bitcount of 0
+    # for the negative rest, changes the result, so a kernel that took the
+    # bit length of |rest| there would differ
+    keys |= {(264, 831, 357), (4394, 2416, 48), (182, 655, 197),
+             (2329, 1260, 207), (2343, 1261, 183), (2797, 2140, 297),
+             (-624, 2160, 310)}
+    below = [key for key in keys
+             if Fraction(2 * abs(key[0]), key[1]) % 1 > Fraction(1, 2)]
+    assert len(below) > 5000
+    assert sum(bits >= 392 for _, _, bits in below) > 1000
+    for num, den, bits in keys:
+        assert kernel(num, den, bits) == _literal_cis(num, den, bits), \
+            (num, den, bits)
+    # the memo, asking for each phase at several bits in turn; from_rational
+    # rounds correctly, so an unreduced twin of a phase gives the same
+    # integers in every bit
     for den in range(1, 31):
         for num in range(-den, 2 * den + 1):
             for bits in (24, 61, 128, 193):
-                want = literal(num, den, bits)
+                want = _literal_cis(num, den, bits)
                 assert _fixed_cis(num, den, bits) == want, (num, den, bits)
-                assert literal(2 * num, 2 * den, bits) == want, (num, den, bits)
+                assert kernel(2 * num, 2 * den, bits) == want, (num, den, bits)
 
 
 def test_phase_vectors_and_root_tables_match_literal_rebuild():
     # _phase_vector and _root_table against a per-unit rebuild through the
-    # uncached _fixed_cis: k <= 60 prime to p, and K = p, 3p for every m
+    # literal libmpf cis: k <= 60 prime to p, and K = p, 3p for every m
     # with sigma_m != 0, both variants.  Built from a cleared memo, they
     # evaluate each distinct (reduced phase, bits) once, so the root tables
     # share entries with each other and with the phase vectors
-    literal = _fixed_cis.__wrapped__
     wp = 96
     cases = []
     for ctx in (C5, C13, C17):
@@ -1163,19 +1227,21 @@ def test_phase_vectors_and_root_tables_match_literal_rebuild():
     keys = set()
     for ctx, k, variant, m, cls in cases:
         residues = None if cls is None else _chi_class(ctx, cls)
-        pairs = list(_twisted_phases(ctx.p, variant, k, m, residues))
+        den, pairs = _twisted_phases(ctx.p, variant, k, m, residues)
+        phases = [Fraction(num, den) for _, num in pairs]
         bits = wp + 16 + len(pairs).bit_length()
-        cis = [literal(ph.numerator, ph.denominator, bits) for _, ph in pairs]
+        cis = [_literal_cis(ph.numerator, ph.denominator, bits)
+               for ph in phases]
         want = (bits, tuple(h for h, _ in pairs), tuple(c for c, _ in cis),
                 tuple(s for _, s in cis), {})
         got = _phase_vector.__wrapped__(ctx.p, k, variant, m, cls, wp)
         assert got == want, (ctx.p, k, variant, m)
         M = k if k % 2 == 0 else 2 * k
-        low = [literal(2 * j, M, bits) for j in range(M // 2 + 1)]
+        low = [_literal_cis(2 * j, M, bits) for j in range(M // 2 + 1)]
         roots = [low[j] if 2 * j <= M else (low[M - j][0], -low[M - j][1])
                  for j in range(M)]
         assert _root_table.__wrapped__(M, bits) == tuple(zip(*roots)), M
-        keys |= {(ph, bits) for _, ph in pairs}
+        keys |= {(ph, bits) for ph in phases}
         keys |= {(Fraction(2 * j, M), bits) for j in range(M // 2 + 1)}
     assert _fixed_cis.cache_info().misses == len(keys)
 
@@ -1204,3 +1270,33 @@ def test_series_path_caches_are_bounded():
     assert sorted(sums) == [3, 4]
     _phase_vector.cache_clear()
     assert _phase_vector(17, 7, "plain", 0, None, 96)[4] == {}
+
+
+def test_cache_stats_covers_every_lru_cache():
+    # every function a legpart module's source decorates with lru_cache is
+    # in cache_stats(), which reports nothing else, with the numbers of the
+    # cache's own cache_info
+    declared = set()
+    for info in pkgutil.iter_modules(legpart.__path__):
+        mod = importlib.import_module(f"legpart.{info.name}")
+        for node in ast.walk(ast.parse(inspect.getsource(mod))):
+            if isinstance(node, ast.FunctionDef) and any(
+                    "lru_cache" in ast.unparse(dec)
+                    for dec in node.decorator_list):
+                declared.add(f"{info.name}.{node.name}")
+    assert {"series._fixed_cis", "series._weight", "charsums._lambda_parts",
+            "dedekind._chi_table", "context.make_context",
+            "arith._prime_factors"} <= declared
+    series._weight.cache_clear()
+    for _ in range(3):
+        series._weight(17, 3, "plain", 64)
+    stats = legpart.cache_stats()
+    assert set(stats) == declared
+    assert stats["series._weight"] == {"size": 1, "maxsize": 2048,
+                                       "hits": 2, "misses": 1}
+    for key, got in stats.items():
+        mod, name = key.split(".")
+        info = getattr(importlib.import_module(f"legpart.{mod}"),
+                       name).cache_info()
+        assert got == {"size": info.currsize, "maxsize": info.maxsize,
+                       "hits": info.hits, "misses": info.misses}, key
