@@ -282,9 +282,7 @@ def cyclo_neg(s: CyclotomicSum) -> CyclotomicSum:
     return CyclotomicSum(s.order, tuple(-c for c in s.coeffs))
 
 
-# One entry per integer factored: p and p - 1 of each context and the order
-# of each sum cyclo_is_zero decides.  The whole test suite in one process
-# holds 214, so 1024 never evicts there.
+# One entry per integer factored: p, p - 1 and each cyclo_is_zero order.
 @lru_cache(maxsize=1024)
 def _prime_factors(m: int) -> tuple:
     out = []

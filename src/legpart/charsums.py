@@ -89,13 +89,7 @@ class TauCount:
     class_pair: str
 
 
-# One row per (prime, modulus k), shared by both signs: 267 for one series at
-# p = 17 and k_max = 222, 181 after the series_deep benchmark, 645 after the
-# whole test suite in one process, so 2048, the size of series._phase_vector,
-# never evicts there.  The exact sums are not cached, so each one reads its
-# phases from here again.  One lambda_exponent at a new modulus pays for the
-# whole row: O(min(a, k - a)) int steps per distinct s_chi argument a mod k
-# and O(log k) per classical sum, for each unit h <= k/2.
+# One row per (prime, modulus k), read by both signs and every exact sum.
 @lru_cache(maxsize=2048)
 def _lambda_parts(p: int, k: int) -> tuple:
     """The phases (plain, dagger) of every h mod k, by the formulas in

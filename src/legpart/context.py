@@ -78,7 +78,7 @@ def _least_primitive_root(p: int) -> int:
     raise ArithmeticError(f"no primitive root found mod {p}")
 
 
-# The whole test suite builds 80 contexts; 256 never evicts there.
+# One context per prime, shared by every module.
 @lru_cache(maxsize=256)
 def make_context(p: int) -> PrimeContext:
     """Build the context for a prime p = 1 (mod 4).

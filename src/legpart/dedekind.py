@@ -94,13 +94,7 @@ def _phi(p: int, k: int) -> int:
     return 1 if k % p == 0 else p
 
 
-# One entry per (prime, k); it feeds s_chi, t_chi and the phase rows.  The
-# series at k_max sums over the moduli k and 2k for odd k <= k_max, so it
-# reaches 2k <= 442 at k_max = 222, though only 267 distinct moduli at
-# p = 17; the verify suites reach k <= 20p for the primes 5, 13 and 17.
-# `legpart verify --suite all --scale full` leaves 357 keys here; the whole
-# test suite, run in one process, 667.  1024 never evicts there, and still
-# bounds an arbitrary caller.
+# One entry per (prime, k); it feeds s_chi, t_chi and the phase rows.
 @lru_cache(maxsize=1024)
 def _chi_table(chi: tuple, k: int) -> tuple:
     """(tails, moment, B_k) for one modulus k, where chi is the character

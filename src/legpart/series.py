@@ -46,6 +46,9 @@ THETA_FAMILIES = ("R+", "R-", "S+", "S-", "T+", "T-", "U+", "U-",
 
 FEQ_CASES = ("2p", "p", "2", "1")
 
+# the primes rademacher_eval accepts, which the verify suites run over
+SERIES_PRIMES = (5, 13, 17)
+
 
 class InconclusiveError(RuntimeError):
     """Raised when a truncation tail is too large to certify a comparison."""
@@ -115,19 +118,6 @@ def _factors(ctx: PrimeContext, family: str) -> list:
     odd_set = ctx.s_set if family == "S+" else ctx.r_set
     return ([(1, e, 2 * p) for a in even_set for e in (2 * a, 2 * p - 2 * a)]
             + [(1, e, 2 * p) for a in odd_set for e in (p + 2 * a, p - 2 * a)])
-
-
-def _euler_terms(m_max: int) -> list:
-    """Nonconstant terms (e, c) of (y; y)_inf up to y^m_max, by Euler's
-    pentagonal theorem: sum over m in Z of (-1)^m y^(m(3m-1)/2)."""
-    terms = []
-    m = 1
-    while m * (3 * m - 1) // 2 <= m_max:
-        c = -1 if m % 2 else 1
-        terms += [(e, c) for e in (m * (3 * m - 1) // 2, m * (3 * m + 1) // 2)
-                  if e <= m_max]
-        m += 1
-    return terms
 
 
 def _jacobi_terms(M: int, a: int, signed: bool, n_max: int) -> list:
@@ -208,7 +198,8 @@ def _theta_quotient(factors: list, n_max: int,
     J_a, with J_a^- where c = 1 and J_a^+ where c = -1, so the product is
     (x^M; x^M)_inf^r / prod J_a over the r pairs, each named by its entry
     with 2a < M.  The numerator is built in y = x^M, multiplying r times by
-    the Euler series, and spread onto the multiples of M; each J_a, with
+    the Euler series (y; y)_inf, which is J_1^- at modulus 3 (Euler's
+    pentagonal theorem), and spread onto the multiples of M; each J_a, with
     constant term 1, is then divided out by the exact recurrence w[i] =
     v[i] - sum c*w[i-e] over its terms.  Factors that are 1 modulo
     x^(n_max+1) are left out: J_a for a > n_max, and the numerator when
@@ -216,7 +207,7 @@ def _theta_quotient(factors: list, n_max: int,
     """
     (M,) = {step for _, _, step in factors}
     pairs = [(c, a) for c, a, _ in factors if 2 * a < M]
-    euler = _euler_terms(n_max // M)
+    euler = _jacobi_terms(3, 1, True, n_max // M)
     thetas = [_jacobi_terms(M, a, c == 1, n_max)
               for c, a in pairs if a <= n_max]
     top = [1] + [0] * (n_max // M)
@@ -477,10 +468,7 @@ _TWINS = {"Phi": "PhiDagger", "R+": "R-", "T+": "T-", "F_r": "G_r",
 _BASE = {**{b: b for b in _TWINS}, **{t: b for b, t in _TWINS.items()}}
 
 
-# One FEQ point evaluates plain and dagger at the same x and x~, so each
-# entry is read twice: the full feq suite makes 18 misses and 18 hits and
-# holds 18 entries, and the whole test suite in one process peaks at 38.
-# 64 never evicts there and bounds an arbitrary caller.
+# One FEQ point reads each entry twice: plain and dagger at the same x.
 @lru_cache(maxsize=64)
 def _twin_products(ctx: PrimeContext, base: str, x: tuple, truncation: int,
                    prec: int) -> tuple:
@@ -660,22 +648,7 @@ def _fixed_cis(num: int, den: int, bits: int) -> tuple:
     return tuple(out)
 
 
-# Sizes of the series caches.  One series evaluation at (p, precision,
-# k_max) builds, for each variant, a phase vector per modulus it sums over:
-# odd k and 2k, multiples of 4 prime to p, and each odd multiple of p once
-# per nonzero sigma_m, 274 at p = 17 and k_max = 222; each vector holds a
-# slot per residue -n mod k asked, at most k.  Both variants at k_max = 222
-# hold 548 vectors, 163 root tables and 64 weights, one per k mod 2p prime
-# to p, whatever k_max.  The benchmark's series_sweep leaves 150 vectors
-# with 6,224 slots, series_deep 370 with 2,418, 110 root tables and 64
-# weights; the whole test suite in one process peaks at 894 vectors with
-# 31,404 slots, 216 root tables and 192 weights.
-# The _fixed_cis memo holds 8,161 entries after series_deep and peaks at
-# 24,833 in the test suite; its 65,536 evict on a cold n = 1000, k_max = 460
-# run, both signs (75,716 distinct keys; 1,138 vectors with 1,138 slots).  No
-# other size evicts there, and all bound an arbitrary caller.
-# charsums._twisted_phases keeps no cache of its own: _phase_vector holds
-# its output here, and _lambda_parts the phases lambda(h,k) beneath.
+# One table per (modulus, bits), read by both signs and every residue.
 @lru_cache(maxsize=1024)
 def _root_table(k: int, bits: int) -> tuple:
     """Real and imaginary parts of omega^j = exp(2 pi i j/k), j = 0..k-1,
@@ -746,8 +719,8 @@ def _numeric_sum(ctx: PrimeContext, k: int, n: int, m: int, variant: str,
 def _weight(p: int, k: int, variant: str, prec: int) -> tuple:
     """lambda_k as a raw mpf, memoised: it does not depend on n.  It reads
     k only through k mod p and k mod 2, so the series asks for it at k mod
-    2p (2p for k = 0 mod 2p): one weight per residue, 2(p - 1) per variant
-    and precision, whatever k_max."""
+    2p: one weight per residue, 2(p - 1) per variant and precision,
+    whatever k_max."""
     return lambda_k(make_context(p), k, variant, prec).value._mpf_
 
 
@@ -797,7 +770,7 @@ def _series_terms(ctx: PrimeContext, variant: str, n: int, k_max: int,
         piece = fzero
         for j in mods:
             piece = mpf_add(piece, mul(
-                _weight(p, j % (2 * p) or 2 * p, variant, wp),
+                _weight(p, j % (2 * p), variant, wp),
                 _numeric_sum(ctx, j, n, 0, variant, None, wp)), wp, "n")
         yield mul(div(mul(prefac, piece), d), _bessel_i1_mpf(div(ks, d), wp))
     # odd multiples K of p: L_plus (plain) or L_dagger_minus (dagger), one
@@ -838,7 +811,7 @@ def rademacher_eval(ctx: PrimeContext, sign: int, n: int,
     """
     _check_ctx(ctx)
     _check_choice("sign", sign, _SIGNS)
-    _check_choice("ctx.p", ctx.p, (5, 13, 17))
+    _check_choice("ctx.p", ctx.p, SERIES_PRIMES)
     _check_int("n", n, 1)
     if not isinstance(cfg, SeriesEvalConfig):
         raise ValueError(f"cfg must be a SeriesEvalConfig, got {cfg!r}")

@@ -20,10 +20,8 @@ from .context import make_context
 from .dedekind import (dedekind_s, dedekind_s_chi, dedekind_s_tilde,
                        dedekind_t_chi, lattice_floor_sum,
                        verify_reciprocity_classical, verify_reciprocity_chi)
-from .series import (InconclusiveError, SeriesEvalConfig, oracle_table,
-                     rademacher_eval, verify_functional_equation)
-
-SERIES_PRIMES = (5, 13, 17)
+from .series import (SERIES_PRIMES, InconclusiveError, SeriesEvalConfig,
+                     oracle_table, rademacher_eval, verify_functional_equation)
 
 
 def _grid(cid: str, cases, ok, note: str = "") -> dict:

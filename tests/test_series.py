@@ -23,8 +23,8 @@ from legpart.charsums import (_chi_class, _twisted_phases,
                               kloosterman_L_plus)
 from legpart.context import make_context
 from legpart.series import (FEQ_CASES, THETA_FAMILIES, InconclusiveError,
-                            RademacherResult, SeriesEvalConfig, _euler_terms,
-                            _factors, _fixed_cis, _jacobi_terms, _mpf_add,
+                            RademacherResult, SeriesEvalConfig, _factors,
+                            _fixed_cis, _jacobi_terms, _mpf_add,
                             _numeric_sum, _phase_vector, _poch_partial,
                             _poch_tail_bound, _root_table, _series_terms,
                             _theta_pairs, _theta_quotient, _twin_products,
@@ -202,13 +202,10 @@ def test_jacobi_terms_match_literal_triple_products(p):
                                  (p * (j + 1), -1))]
             assert (_series_of(_jacobi_terms(p, a, signed, n_max), n_max)
                     == _literal_product(factors, n_max)), (p, a, signed)
-
-
-@pytest.mark.parametrize("p", (5, 13, 17))
-def test_euler_terms_match_literal_product(p):
-    n_max = 200
+    # J_1^- at modulus 3 is Euler's series (y; y)_inf, which _theta_quotient
+    # reads in y = x^p: the literal product of (1 - x^(p(j+1)))
     factors = [(p * (j + 1), -1) for j in range(n_max // p)]
-    assert (_series_of(_euler_terms(n_max // p), n_max, p)
+    assert (_series_of(_jacobi_terms(3, 1, True, n_max // p), n_max, p)
             == _literal_product(factors, n_max))
 
 
@@ -1246,20 +1243,59 @@ def test_phase_vectors_and_root_tables_match_literal_rebuild():
     assert _fixed_cis.cache_info().misses == len(keys)
 
 
+# Every cache cache_stats() reports, in the column order of OCCUPANCY.
+CACHES = ("series._phase_vector", "series._root_table", "series._weight",
+          "charsums._lambda_parts", "dedekind._chi_table", "series._fixed_cis",
+          "series._twin_products", "context.make_context",
+          "arith._prime_factors")
+
+
+def _series_load(k_max):
+    cfg = SeriesEvalConfig(k_max=k_max, precision=128)
+    for sign in (1, -1):
+        rademacher_eval(C17, sign, 1000, cfg)
+
+
+# What each load leaves in the caches, from cleared caches; 0 marks a cache
+# the load does not touch.  The series loads are p = 17, n = 1000, both
+# signs, 128 bits.
+OCCUPANCY = [
+    ("series, k_max = 150", lambda: _series_load(150),
+     (370, 110, 64, 181, 181, 8161, 0, 1, 2)),
+    ("series, k_max = 222", lambda: _series_load(222),
+     (548, 163, 64, 267, 267, 17859, 0, 1, 2)),
+    ("feq suite, full", lambda: verify.suite_feq("full"),
+     (0, 0, 0, 12, 12, 0, 18, 3, 6)),
+]
+
+
+def test_cache_occupancy_from_cleared_caches():
+    # the one place cache occupancy is stated: a cache added to legpart
+    # fails here until it is counted, and an entry evicted shows as
+    # size < misses
+    assert set(CACHES) == set(legpart.cache_stats())
+    for name, load, sizes in OCCUPANCY:
+        for key in CACHES:
+            mod, func = key.split(".")
+            getattr(importlib.import_module(f"legpart.{mod}"),
+                    func).cache_clear()
+        load()
+        stats = legpart.cache_stats()
+        for key, size in zip(CACHES, sizes):
+            got = stats[key]
+            assert got["size"] == got["misses"] == size, (name, key, got)
+            assert got["size"] < got["maxsize"], (name, key, got)
+    # each FEQ point reads its twin products twice, plain and dagger
+    assert stats["series._twin_products"]["hits"] == 18
+
+
 def test_series_path_caches_are_bounded():
-    # every legpart module, so that a cache added anywhere is held to a bound
-    found = set()
-    for info in pkgutil.iter_modules(legpart.__path__):
-        mod = importlib.import_module(f"legpart.{info.name}")
-        for name, obj in vars(mod).items():
-            if (hasattr(obj, "cache_parameters")
-                    and obj.__module__ == mod.__name__):
-                maxsize = obj.cache_parameters()["maxsize"]
-                assert type(maxsize) is int and maxsize > 0, name
-                found.add(name)
-    assert {"_fixed_cis", "_phase_vector", "_root_table", "_weight",
-            "_twin_products", "_lambda_parts", "_chi_table", "make_context",
-            "_prime_factors"} <= found
+    # every cache cache_stats() finds, so that one added anywhere is held to
+    # a bound
+    stats = legpart.cache_stats()
+    for key, got in stats.items():
+        assert type(got["maxsize"]) is int and got["maxsize"] > 0, key
+    assert set(CACHES) <= set(stats)
     # the residue slots of _numeric_sum, at most k per _phase_vector entry,
     # live in its entries, so its bound holds them too: one slot per residue
     # asked, and a cleared entry takes its slots with it

@@ -5,6 +5,8 @@ import importlib.util
 from pathlib import Path
 
 import legpart.cli
+from legpart import verify
+from legpart.series import InconclusiveError
 from legpart.verify import SUITE_RUNNERS, _grid
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -63,3 +65,37 @@ def test_traced_benchmark_targets_resolve():
             (module, attr)
     # the tracer wraps the suites through the CLI's registry
     assert legpart.cli.SUITE_RUNNERS is SUITE_RUNNERS
+
+
+def test_suite_rademacher_quick_rounds_to_the_oracle():
+    checks = verify.suite_rademacher("quick")
+    assert [c["id"] for c in checks] == ["rademacher.p17.plus",
+                                         "rademacher.p17.minus"]
+    for c in checks:
+        assert c["status"] == "pass", c
+        assert c["witness"].startswith("n <= 60 all round to the oracle"), c
+
+
+def test_suite_feq_reports_inconclusive_points(monkeypatch):
+    def inconclusive(*args, **kwargs):
+        raise InconclusiveError("truncation tail 0.5 exceeds 2^-64")
+
+    monkeypatch.setattr(verify, "verify_functional_equation", inconclusive)
+    checks = verify.suite_feq("quick")
+    # one point per gcd class, both variants
+    assert len(checks) == 8
+    for c in checks:
+        assert c["id"].startswith("feq.case"), c
+        assert c["status"] == "inconclusive", c
+        assert c["witness"] == "truncation tail 0.5 exceeds 2^-64", c
+
+
+def test_suite_tau_reports_failures(monkeypatch):
+    report = {"checks": 9, "failures": ["K=17 a", "K=51 b"], "ok": False}
+    monkeypatch.setattr(verify, "verify_tau_table", lambda ctx, K_max: report)
+    checks = verify.suite_tau("quick")
+    assert [c["id"] for c in checks] == ["tau.table.p5", "tau.table.p13",
+                                         "tau.table.p17"]
+    for c in checks:
+        assert c["status"] == "fail", c
+        assert c["witness"] == "2 failures: ['K=17 a', 'K=51 b']", c
