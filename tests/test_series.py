@@ -1285,7 +1285,8 @@ def test_cache_occupancy_from_cleared_caches():
             got = stats[key]
             assert got["size"] == got["misses"] == size, (name, key, got)
             assert got["size"] < got["maxsize"], (name, key, got)
-    # each FEQ point reads its twin products twice, plain and dagger
+    # the FEQ load, last: each point reads its twin products twice, plain
+    # and dagger
     assert stats["series._twin_products"]["hits"] == 18
 
 
