@@ -202,8 +202,13 @@ def test_jacobi_terms_match_literal_triple_products(p):
                                  (p * (j + 1), -1))]
             assert (_series_of(_jacobi_terms(p, a, signed, n_max), n_max)
                     == _literal_product(factors, n_max)), (p, a, signed)
+
+
+@pytest.mark.parametrize("p", (5, 13, 17))
+def test_euler_terms_match_literal_product(p):
     # J_1^- at modulus 3 is Euler's series (y; y)_inf, which _theta_quotient
     # reads in y = x^p: the literal product of (1 - x^(p(j+1)))
+    n_max = 200
     factors = [(p * (j + 1), -1) for j in range(n_max // p)]
     assert (_series_of(_jacobi_terms(3, 1, True, n_max // p), n_max, p)
             == _literal_product(factors, n_max))
