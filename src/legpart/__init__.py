@@ -30,7 +30,6 @@ from .arith import (
 )
 from .charsums import (
     KloostermanSum,
-    PhaseExponent,
     check_congruence_mod16,
     check_congruence_modThK,
     kloosterman_L,
@@ -97,7 +96,6 @@ __all__ = [
     "InconclusiveError",
     "KloostermanSum",
     "OrderCapError",
-    "PhaseExponent",
     "PrimeContext",
     "QConstants",
     "RademacherResult",

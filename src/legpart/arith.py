@@ -220,12 +220,6 @@ def _canonical(order: int, pairs) -> CyclotomicSum:
     return CyclotomicSum(order, tuple(c))
 
 
-def _phase_to_exponent(phase: Fraction, order: int) -> int:
-    # phase is in half turns; exp(i pi a/b) = zeta_(2b)^a.
-    ph = Fraction(phase) % 2
-    return ph.numerator * (order // (2 * ph.denominator))
-
-
 def _capped(order: int) -> int:
     if order > DEFAULT_ORDER_CAP:
         raise OrderCapError(f"cyclotomic order {order} exceeds cap "
@@ -236,9 +230,12 @@ def _capped(order: int) -> int:
 def cyclo_from_phases(phases, weights=None) -> CyclotomicSum:
     """Exact sum of weights[i] * exp(i pi phases[i]); phases in half turns.
 
-    The order is twice the lcm of the phase denominators (always even).
-    Raises OrderCapError if that exceeds DEFAULT_ORDER_CAP, ValueError for
-    a phase that is not an int or a Fraction (a bool, a str or a float,
+    The order is twice the lcm of the phase denominators (always even), and
+    exp(i pi a/b) = zeta_order^(a order / 2b) for a/b in lowest terms, as
+    an int's or a Fraction's numerator and denominator are.  The phases are
+    not reduced mod 2 first: _canonical reduces each exponent mod order.
+    Raises OrderCapError if the order exceeds DEFAULT_ORDER_CAP, ValueError
+    for a phase that is not an int or a Fraction (a bool, a str or a float,
     which would be read as the binary fraction it stores), and ValueError
     for a weight that is not an int, so the sum stays over the integers.
     """
@@ -246,7 +243,6 @@ def cyclo_from_phases(phases, weights=None) -> CyclotomicSum:
     for ph in phases:
         if isinstance(ph, bool) or not isinstance(ph, (int, Fraction)):
             raise ValueError(f"phase must be an int or a Fraction, got {ph!r}")
-    phases = [Fraction(ph) % 2 for ph in phases]
     if weights is None:
         weights = [1] * len(phases)
     else:
@@ -255,12 +251,9 @@ def cyclo_from_phases(phases, weights=None) -> CyclotomicSum:
             _check_int("weight", w)
     if len(weights) != len(phases):
         raise ValueError("phases and weights must have equal length")
-    den = 1
-    for ph in phases:
-        den = math.lcm(den, ph.denominator)
-    order = _capped(2 * den)
-    return _canonical(order, ((_phase_to_exponent(ph, order), w)
-                              for ph, w in zip(phases, weights)))
+    order = _capped(2 * math.lcm(1, *(ph.denominator for ph in phases)))
+    return _canonical(order, ((ph.numerator * (order // (2 * ph.denominator)),
+                               w) for ph, w in zip(phases, weights)))
 
 
 def cyclo_add_phase(s: CyclotomicSum, phase,

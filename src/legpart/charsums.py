@@ -38,9 +38,7 @@ from .context import (PrimeContext, _check_ctx, _csc_product, make_context,
 from .dedekind import _chi_table, _dedekind_s_12k, _phi, _s_chi_cleared
 
 __all__ = [
-    "PhaseExponent",
     "KloostermanSum",
-    "TauCount",
     "lambda_exponent",
     "phi_root",
     "lambda_k",
@@ -60,33 +58,19 @@ TAU_PAIRS = ("er", "es", "or", "os")
 
 
 @dataclass(frozen=True)
-class PhaseExponent:
-    """A phase in half turns: the attached root of unity is exp(i pi value)."""
-
-    value: Fraction
-    variant: str
-
-
-@dataclass(frozen=True)
 class KloostermanSum:
     """An exact complete exponential sum, stored as a cyclotomic integer.
 
-    kind is one of L, L_plus, L_dagger, L_dagger_minus, L_nmd; params echoes
-    the defining arguments as a tuple of (name, value) pairs.
+    kind is one of L, L_plus, L_dagger, L_dagger_minus, L_nmd: the entry
+    point and class restriction that built it.  The defining arguments are
+    the caller's own and are not kept.
     """
 
     sum: CyclotomicSum
     kind: str
-    params: tuple
 
     def is_zero(self) -> bool:
         return cyclo_is_zero(self.sum)
-
-
-@dataclass(frozen=True)
-class TauCount:
-    count: int
-    class_pair: str
 
 
 # One row per (prime, modulus k), read by both signs and every exact sum.
@@ -103,9 +87,14 @@ def _lambda_parts(p: int, k: int) -> tuple:
     is odd in h, so only h <= k/2 is computed and row[k-h] = -row[h].  The
     numerators are not reduced: lambda_exponent makes the one Fraction a
     caller sees, and the twisted sums reduce theirs.
+
+    The chi table is built uncached, through _chi_table.__wrapped__: this
+    row reads it once and is itself memoised, so a cached copy would never
+    be read again.  _chi_table's memo serves dedekind_s_chi and
+    dedekind_t_chi, which read one table for every h.
     """
     phi = _phi(p, k)
-    table = _chi_table(make_context(p).chi, k)
+    table = _chi_table.__wrapped__(make_context(p).chi, k)
     s_chi = {}
     row = [None] * k
     for h in range(k // 2 + 1):
@@ -125,8 +114,9 @@ def _lambda_parts(p: int, k: int) -> tuple:
 
 
 def lambda_exponent(ctx: PrimeContext, h: int, k: int,
-                    variant: str = "plain") -> PhaseExponent:
-    """Exact phase exponent of the multiplier attached to h/k, in half turns.
+                    variant: str = "plain") -> Fraction:
+    """Exact phase exponent of the multiplier attached to h/k, in half turns:
+    the attached root of unity is exp(i pi L), L the returned Fraction.
 
     plain:  s_chi(h,k) - s_chi(2h,k)/2 + {s(2h,k) - s(2hp,k)}/2
     dagger: s_chi(2h,k)/2 - s_chi(h,k) + {s(2h,k) - s(2hp,k)}/2
@@ -138,8 +128,7 @@ def lambda_exponent(ctx: PrimeContext, h: int, k: int,
     if math.gcd(h, k) != 1:
         raise ValueError("h and k must be coprime")
     den, row = _lambda_parts(ctx.p, k)
-    return PhaseExponent(Fraction(row[h % k][VARIANTS.index(variant)], den),
-                         variant)
+    return Fraction(row[h % k][VARIANTS.index(variant)], den)
 
 
 def _sawtooth_pair_sum(ctx: PrimeContext, members, h: int, k: int) -> Fraction:
@@ -273,8 +262,7 @@ def kloosterman_L(ctx: PrimeContext, k: int, n: int,
     if k % ctx.p == 0:
         raise ValueError("k must be coprime to the context prime")
     kind = "L" if variant == "plain" else "L_dagger"
-    return KloostermanSum(_twisted_sum(ctx, variant, k, n, 0, None),
-                          kind, (("k", k), ("n", n)))
+    return KloostermanSum(_twisted_sum(ctx, variant, k, n, 0, None), kind)
 
 
 def _require_odd_multiple(ctx: PrimeContext, K: int) -> None:
@@ -298,7 +286,7 @@ def kloosterman_L_plus(ctx: PrimeContext, K: int, n: int,
     _check_ctx(ctx)
     _require_odd_multiple(ctx, K)
     total = _twisted_sum(ctx, "plain", K, n, m, _chi_class(ctx, 1))
-    return KloostermanSum(total, "L_plus", (("K", K), ("n", n), ("m", m)))
+    return KloostermanSum(total, "L_plus")
 
 
 def kloosterman_L_nmd(ctx: PrimeContext, k: int, n: int, m: int, d: int,
@@ -314,8 +302,7 @@ def kloosterman_L_nmd(ctx: PrimeContext, k: int, n: int, m: int, d: int,
     if math.gcd(d, ctx.p) != 1:
         raise ValueError(f"d must be an int invertible mod p, got {d!r}")
     total = _twisted_sum(ctx, variant, k, n, m, (d % ctx.p,))
-    return KloostermanSum(total, "L_nmd",
-                          (("k", k), ("n", n), ("m", m), ("d", d)))
+    return KloostermanSum(total, "L_nmd")
 
 
 def kloosterman_dagger(ctx: PrimeContext, k: int, n: int,
@@ -336,14 +323,13 @@ def kloosterman_dagger(ctx: PrimeContext, k: int, n: int,
         raise ValueError("m is required when p divides k")
     _require_odd_multiple(ctx, k)
     total = _twisted_sum(ctx, "dagger", k, n, m, _chi_class(ctx, -1))
-    return KloostermanSum(total, "L_dagger_minus",
-                          (("K", k), ("n", n), ("m", m)))
+    return KloostermanSum(total, "L_dagger_minus")
 
 
-def tau_count(ctx: PrimeContext, h: int, K: int, pair: str) -> TauCount:
-    """Count 0 < mu < K with p coprime to mu, mu of the named parity and
-    quadratic class, and h mu reduced mod K odd.  K itself must be an odd
-    multiple of p, and h invertible mod K."""
+def tau_count(ctx: PrimeContext, h: int, K: int, pair: str) -> int:
+    """The number of 0 < mu < K with p coprime to mu, mu of the named
+    parity and quadratic class, and h mu reduced mod K odd.  K itself must
+    be an odd multiple of p, and h invertible mod K."""
     _check_ctx(ctx)
     _check_choice("pair", pair, TAU_PAIRS)
     _require_unit(ctx, h, K)
@@ -353,11 +339,11 @@ def tau_count(ctx: PrimeContext, h: int, K: int, pair: str) -> TauCount:
         # chi(mu) = 0 when p | mu, so the class test also skips those mu
         if ctx.chi[mu % ctx.p] == want_class and h * mu % K % 2:
             count += 1
-    return TauCount(count, pair)
+    return count
 
 
 def _cleared_exponent(ctx: PrimeContext, h: int, K: int, variant: str) -> int:
-    value = 24 * K * lambda_exponent(ctx, h, K, variant).value
+    value = 24 * K * lambda_exponent(ctx, h, K, variant)
     if value.denominator != 1:
         raise ArithmeticError(
             f"24*K*exponent should be integral at ({h},{K}); got {value}")
@@ -380,7 +366,7 @@ def check_congruence_mod16(ctx: PrimeContext, h: int, K: int,
     p = ctx.p
     cleared = _cleared_exponent(ctx, h, K, variant)
     pair = "es" if variant == "plain" else "er"
-    tau = tau_count(ctx, 2 * h, K, pair).count
+    tau = tau_count(ctx, 2 * h, K, pair)
     rhs = 4 * (ctx.chi[h % p] - 1) + (4 * h - 1) * (p - 1) + 8 * tau
     return (cleared - rhs) % 16 == 0
 
@@ -448,7 +434,7 @@ def verify_tau_table(ctx: PrimeContext, K_max: int) -> dict:
                 continue
             j = power_class(ctx, h)
             for pair in TAU_PAIRS:
-                got = tau_count(ctx, h, K, pair).count % 2
+                got = tau_count(ctx, h, K, pair) % 2
                 want = expected[(j, pair)]
                 checks += 1
                 if got != want:

@@ -83,10 +83,11 @@ def _least_primitive_root(p: int) -> int:
 def make_context(p: int) -> PrimeContext:
     """Build the context for a prime p = 1 (mod 4).
 
-    Rejects composites and primes p = 3 (mod 4).  Primality is by trial
-    division, which is fine for the desk-scale p this package targets.
+    Rejects composites and primes p = 3 (mod 4) with ValueError, and a p
+    that is not an int, a bool included, with TypeError.  Primality is by
+    trial division, which is fine for the desk-scale p this package targets.
     """
-    if not isinstance(p, int):
+    if not isinstance(p, int) or isinstance(p, bool):
         raise TypeError("p must be an int")
     if p > 10 ** 6:
         raise ValueError("p too large for trial-division primality checking")

@@ -94,7 +94,7 @@ def _phi(p: int, k: int) -> int:
     return 1 if k % p == 0 else p
 
 
-# One entry per (prime, k); it feeds s_chi, t_chi and the phase rows.
+# One entry per (prime, k), reread for every h by s_chi and t_chi.
 @lru_cache(maxsize=1024)
 def _chi_table(chi: tuple, k: int) -> tuple:
     """(tails, moment, B_k) for one modulus k, where chi is the character

@@ -346,8 +346,9 @@ def _mpf_add(am: int, ae: int, bm: int, be: int, prec: int) -> tuple:
 
 
 def _poch_partial(z, q, truncation: int, twin: bool = False):
-    """Partial product prod_{j<N} (1 - z q^j), with twin also that of -z
-    (else None), and the _poch_tail_bound both share.
+    """Partial product prod_{j<N} (1 - z q^j), paired with that of -z
+    when twin is set (else with None).  The tail bound, which both share,
+    is _poch_tail_bound's, computed by the caller that reads it.
 
     Int arithmetic that mirrors, bit for bit, the libmpc calls of the
     mpc-object loop val *= 1 - zq; zq *= q at mp.prec: each mpf is a signed
@@ -382,7 +383,7 @@ def _poch_partial(z, q, truncation: int, twin: bool = False):
         wi, wie = zi, zie
     val = mp.make_mpc((from_man_exp(vr, vre), from_man_exp(vi, vie)))
     twin_val = mp.make_mpc((from_man_exp(ur, ure), from_man_exp(ui, uie)))
-    return val, twin_val if twin else None, _poch_tail_bound(z, q, truncation)
+    return val, twin_val if twin else None
 
 
 def _poch_at(z, q, truncation: int, part, wrap):
@@ -449,15 +450,15 @@ def _theta_product(ctx: PrimeContext, family: str, x, truncation: int,
                    twin: bool) -> tuple:
     """Numeric product of inverse Pochhammers, with twin also that of the
     family whose every z is negated (else 1), plus the summed tail bound
-    both share."""
+    both share, each term at the mp precision its product runs at."""
     value = twin_value = mp.mpc(1)
     tail = mp.mpf(0)
     for z, q in _theta_pairs(ctx, family, x):
-        part, twin_part, bound = _poch_partial(z, q, truncation, twin)
+        part, twin_part = _poch_partial(z, q, truncation, twin)
         value /= part
         if twin:
             twin_value /= twin_part
-        tail += bound
+        tail += _poch_tail_bound(z, q, truncation)
     return value, twin_value, tail
 
 
@@ -583,8 +584,7 @@ def verify_functional_equation(ctx: PrimeContext, case: str, h: int, k: int,
         if abs(xt) >= 1:
             raise ValueError("the transformed point must satisfy |x~| < 1")
 
-        exponent = lambda_exponent(ctx, h, k, variant).value
-        phi = mp.expjpi(to_mpf(exponent))
+        phi = mp.expjpi(to_mpf(lambda_exponent(ctx, h, k, variant)))
         omega, rhs_tail = _theta_value(ctx, fam, xt, truncation)
         rhs = lam * phi * mp.exp(psi) * omega
         tail = lhs_tail + rhs_tail

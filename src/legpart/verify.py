@@ -122,7 +122,7 @@ def suite_charsums(scale: str) -> list:
 
     def routes(p, h, k, variant):
         a = phi_root(ctxs[p], h, k, variant)
-        b = lambda_exponent(ctxs[p], h, k, variant).value
+        b = lambda_exponent(ctxs[p], h, k, variant)
         return (a - b) % 2 == 0
 
     def doubling(variant, k, n):

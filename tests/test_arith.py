@@ -1,5 +1,6 @@
 """Tests for the exact arithmetic kernels."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -154,6 +155,52 @@ def test_phases_must_be_ints_or_fractions():
             cyclo_add_phase(one, ph)
     assert cyclo_from_phases([1, Fraction(-1)]).coeffs == (-2, 0)
     assert cyclo_is_zero(cyclo_add_phase(one, Fraction(3)))
+
+
+def _literal_from_phases(phases, weights):
+    """The phase-by-phase route: reduce each phase mod 2, take twice the lcm
+    of the reduced denominators as the order, read each exponent off the
+    reduced phase, then fold the upper half onto the lower with a sign."""
+    reduced = [Fraction(ph) % 2 for ph in phases]
+    den = 1
+    for ph in reduced:
+        den = math.lcm(den, ph.denominator)
+    order = 2 * den
+    c = [0] * order
+    for ph, w in zip(reduced, weights):
+        c[ph.numerator * (order // (2 * ph.denominator))] += w
+    half = order // 2
+    for j in range(half, order):
+        c[j - half] -= c[j]
+        c[j] = 0
+    return CyclotomicSum(order, tuple(c))
+
+
+def test_cyclo_from_phases_matches_literal_reduction():
+    # negative phases and phases >= 2, ints, unreduced Fraction(6, 4)-style
+    # inputs and explicit weights, over denominators whose lcm stays under
+    # the order cap
+    rng = random.Random(2417)
+    dens = (1, 2, 3, 4, 5, 6, 8, 12, 15, 16, 17, 34)
+    assert cyclo_from_phases([]) == _literal_from_phases([], [])
+    for trial in range(400):
+        phases = []
+        for _ in range(rng.randint(1, 12)):
+            if rng.random() < 0.25:
+                phases.append(rng.randint(-7, 7))
+            else:
+                den, scale = rng.choice(dens), rng.randint(1, 4)
+                phases.append(Fraction(scale * rng.randint(-9 * den, 9 * den),
+                                       scale * den))
+        if trial % 2:
+            weights = [rng.randint(-5, 5) for _ in phases]
+            got = cyclo_from_phases(phases, weights)
+        else:
+            weights = [1] * len(phases)
+            got = cyclo_from_phases(phases)
+        want = _literal_from_phases(phases, weights)
+        # dataclass equality: the same order and the same coefficients
+        assert got == want, (phases, weights)
 
 
 def test_cyclo_is_zero_examples():

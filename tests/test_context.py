@@ -54,8 +54,9 @@ def test_make_context_rejects_bad_p():
     for bad in (2, 3, 7, 9, 15, 21):
         with pytest.raises(ValueError):
             make_context(bad)
-    with pytest.raises(TypeError):
-        make_context(17.0)
+    for bad in (17.0, True, False):
+        with pytest.raises(TypeError):
+            make_context(bad)
 
 
 def test_context_invariants():

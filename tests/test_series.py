@@ -22,6 +22,7 @@ from legpart.charsums import (_chi_class, _twisted_phases,
                               kloosterman_dagger, kloosterman_L,
                               kloosterman_L_plus)
 from legpart.context import make_context
+from legpart.dedekind import dedekind_s_chi, dedekind_t_chi
 from legpart.series import (FEQ_CASES, THETA_FAMILIES, InconclusiveError,
                             RademacherResult, SeriesEvalConfig, _factors,
                             _fixed_cis, _jacobi_terms, _mpf_add,
@@ -528,7 +529,7 @@ def _literal_poch(z, q, truncation):
 
 def test_poch_kernel_matches_literal_loop():
     # every bit of both products of the libmpc kernel against the literal
-    # loop at z and -z, and the one tail bound against both
+    # loop at z and -z, and the one tail bound the two share
     for prec in (96, 176, 240):
         with mp.workprec(prec):
             x = mp.mpf("0.41") * mp.expjpi(mp.mpf(2) / 7)
@@ -539,14 +540,13 @@ def test_poch_kernel_matches_literal_loop():
                 for truncation in (0, 1, 37, 200):
                     want = _literal_poch(z, q, truncation)
                     mirror = _literal_poch(-z, q, truncation)
-                    bound = _poch_tail_bound(z, q, truncation)
-                    assert _poch_tail_bound(-z, q, truncation) == bound
-                    one, none, b1 = _poch_partial(z, q, truncation)
-                    got, twin, b2 = _poch_partial(z, q, truncation, True)
+                    assert (_poch_tail_bound(-z, q, truncation)
+                            == _poch_tail_bound(z, q, truncation))
+                    one, none = _poch_partial(z, q, truncation)
+                    got, twin = _poch_partial(z, q, truncation, True)
                     assert none is None
                     assert one._mpc_ == got._mpc_ == want._mpc_, (prec, z)
                     assert twin._mpc_ == mirror._mpc_, (prec, z)
-                    assert b1 == b2 == bound
 
 
 def test_poch_kernel_matches_literal_loop_on_seeded_grid():
@@ -564,7 +564,7 @@ def test_poch_kernel_matches_literal_loop_on_seeded_grid():
             for z in zs:
                 for q in qs:
                     for n in (0, 1, 37, 200):
-                        got, twin, _ = _poch_partial(z, q, n, True)
+                        got, twin = _poch_partial(z, q, n, True)
                         want = _literal_poch(z, q, n)
                         assert got._mpc_ == want._mpc_, (prec, z, q, n)
                         mirror = _literal_poch(-z, q, n)
@@ -576,7 +576,7 @@ def test_poch_kernel_mirrors_far_operand_add():
     # result a correctly rounded add misses in the last bit
     with mp.workprec(176):
         z, q = mp.mpc("0.5"), mp.mpc("-0.04", "-0.035")
-        got, twin, _ = _poch_partial(z, q, 200, True)
+        got, twin = _poch_partial(z, q, 200, True)
         assert got._mpc_ == _literal_poch(z, q, 200)._mpc_
         assert twin._mpc_ == _literal_poch(-z, q, 200)._mpc_
 
@@ -1261,16 +1261,25 @@ def _series_load(k_max):
         rademacher_eval(C17, sign, 1000, cfg)
 
 
+def _chi_load():
+    dedekind_s_chi(C17, 3, 40)
+    dedekind_t_chi(C17, 5, 40)
+
+
 # What each load leaves in the caches, from cleared caches; 0 marks a cache
 # the load does not touch.  The series loads are p = 17, n = 1000, both
-# signs, 128 bits.
+# signs, 128 bits.  The last field pins the hits of the caches it names.
 OCCUPANCY = [
     ("series, k_max = 150", lambda: _series_load(150),
-     (370, 110, 64, 181, 181, 8161, 0, 1, 2)),
+     (370, 110, 64, 181, 0, 8161, 0, 1, 2), {}),
     ("series, k_max = 222", lambda: _series_load(222),
-     (548, 163, 64, 267, 267, 17859, 0, 1, 2)),
+     (548, 163, 64, 267, 0, 17859, 0, 1, 2), {}),
+    # each FEQ point reads its twin products twice, plain and dagger
     ("feq suite, full", lambda: verify.suite_feq("full"),
-     (0, 0, 0, 12, 12, 0, 18, 3, 6)),
+     (0, 0, 0, 12, 0, 0, 18, 3, 6), {"series._twin_products": 18}),
+    # the chi table's memo serves the sums that read it for every h
+    ("s_chi and t_chi at k = 40", _chi_load,
+     (0, 0, 0, 0, 1, 0, 0, 0, 0), {"dedekind._chi_table": 1}),
 ]
 
 
@@ -1279,7 +1288,7 @@ def test_cache_occupancy_from_cleared_caches():
     # fails here until it is counted, and an entry evicted shows as
     # size < misses
     assert set(CACHES) == set(legpart.cache_stats())
-    for name, load, sizes in OCCUPANCY:
+    for name, load, sizes, hits in OCCUPANCY:
         for key in CACHES:
             mod, func = key.split(".")
             getattr(importlib.import_module(f"legpart.{mod}"),
@@ -1290,9 +1299,8 @@ def test_cache_occupancy_from_cleared_caches():
             got = stats[key]
             assert got["size"] == got["misses"] == size, (name, key, got)
             assert got["size"] < got["maxsize"], (name, key, got)
-    # the FEQ load, last: each point reads its twin products twice, plain
-    # and dagger
-    assert stats["series._twin_products"]["hits"] == 18
+        for key, want in hits.items():
+            assert stats[key]["hits"] == want, (name, key, stats[key])
 
 
 def test_series_path_caches_are_bounded():

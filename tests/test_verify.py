@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import legpart.cli
@@ -9,7 +10,8 @@ from legpart import verify
 from legpart.series import InconclusiveError
 from legpart.verify import SUITE_RUNNERS, _grid
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def test_grid_pass_witness():
@@ -65,6 +67,17 @@ def test_traced_benchmark_targets_resolve():
             (module, attr)
     # the tracer wraps the suites through the CLI's registry
     assert legpart.cli.SUITE_RUNNERS is SUITE_RUNNERS
+
+
+def test_quick_suites_match_benchmark_pins():
+    # the benchmark checks each suite's [id, status] pairs against
+    # perfbench/expected.json; read it, never edit it, so that a drift in
+    # a check id or status fails here first
+    pins = json.loads((PERFBENCH / "expected.json").read_text())
+    quick = pins["verify"]["quick"]
+    for suite in ("dedekind", "charsums", "tau", "feq"):
+        got = [[c["id"], c["status"]] for c in SUITE_RUNNERS[suite]("quick")]
+        assert got == quick[suite], suite
 
 
 def test_suite_rademacher_quick_rounds_to_the_oracle():
