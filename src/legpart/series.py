@@ -142,19 +142,27 @@ def _jacobi_terms(M: int, a: int, signed: bool, n_max: int) -> list:
     return sorted(terms)
 
 
-# A sliced pass over a list pays a fixed cost of a few additions, so the
-# terms of a J_a with exponents below this run element by element instead.
-_SLICE = 32
+# Near terms take an interpreted step per entry; far terms share one summed
+# pass per block, and a block is as wide as the first far exponent.  So a
+# lower threshold steps through fewer terms one entry at a time, but in
+# narrower blocks, each paying a few slices of set-up.  Timed on the seven
+# oracle_scan tables (six scans to n = 5000, p = 17 to n = 8000), 4 to 12
+# came within 3% of the best, 8.  16 cost 5% more and 32 21%: both a and
+# M - a of a J_a then fall below it and run as a two-term loop.  1 cost 5%
+# more, from blocks of width 3 at p = 5.
+_SLICE = 8
 
 
 def _divide(values: list, terms: list, n_max: int) -> None:
     """values /= 1 + sum c*x^e in place, for terms sorted by e >= 1.
 
     The exact recurrence w[i] = v[i] - sum c*w[i-e], n_max - e + 1 big-int
-    additions per term.  The near terms (e < _SLICE, and always the first)
-    run through each block in order; the block is as long as the first far
-    exponent, so each far term reads only finished entries and is one
-    sliced pass per block.
+    additions per term.  Near terms (e < _SLICE, and always the first) run
+    element by element; the rest are far.  The values go in blocks [lo, hi)
+    as wide as the first far exponent, so a far term reads only finished
+    entries: those with e <= lo act on the block in one summed pass per
+    sign, and the few with lo < e < hi, which start inside it, in one sliced
+    pass each.  The near terms then run through the block in order.
     """
     near = [t for t in terms if t[0] < _SLICE] or terms[:1]
     far = terms[len(near):]
@@ -163,14 +171,28 @@ def _divide(values: list, terms: list, n_max: int) -> None:
              [e for e, c in near[:k + 1] if c == 1]) for k in range(len(near))]
     starts = [e for e, _ in near] + [n_max + 1]
     width = far[0][0] if far else n_max
+    adds, subs = [], []     # far e <= lo, where c = -1 and where c = 1
+    k = 0
     for lo in range(starts[0], n_max + 1, width):
         hi = min(lo + width, n_max + 1)
-        for e, c in far:
+        while k < len(far) and far[k][0] <= lo:
+            e, c = far[k]
+            (adds if c == -1 else subs).append(e)
+            k += 1
+        if adds or subs:
+            block = values[lo:hi]
+            if adds:
+                block = map(sum, zip(block, *[values[lo - e:hi - e]
+                                              for e in adds]))
+            if subs:
+                block = map(operator.sub, block, map(sum, zip(
+                    *[values[lo - e:hi - e] for e in subs])))
+            values[lo:hi] = block
+        for e, c in far[k:]:
             if e >= hi:
                 break
-            s = max(lo, e)
-            values[s:hi] = map(operator.sub if c == 1 else operator.add,
-                               values[s:hi], values[s - e:hi - e])
+            values[e:hi] = map(operator.sub if c == 1 else operator.add,
+                               values[e:hi], values[:hi - e])
         for (add, sub), s, t in zip(runs, starts, starts[1:]):
             s, t = max(lo, s), min(hi, t)
             if s >= t:
@@ -197,13 +219,14 @@ def _theta_quotient(factors: list, n_max: int,
     The Jacobi triple product makes each pair's factors (x^M; x^M)_inf /
     J_a, with J_a^- where c = 1 and J_a^+ where c = -1, so the product is
     (x^M; x^M)_inf^r / prod J_a over the r pairs, each named by its entry
-    with 2a < M.  The numerator is built in y = x^M, multiplying r times by
-    the Euler series (y; y)_inf, which is J_1^- at modulus 3 (Euler's
-    pentagonal theorem), and spread onto the multiples of M; each J_a, with
-    constant term 1, is then divided out by the exact recurrence w[i] =
-    v[i] - sum c*w[i-e] over its terms.  Factors that are 1 modulo
-    x^(n_max+1) are left out: J_a for a > n_max, and the numerator when
-    M > n_max.  A seeded rng shuffles the order of the divisions.
+    with 2a < M.  The numerator is built in y = x^M and spread onto the
+    multiples of M: r times, it is multiplied by the Euler series (y; y)_inf,
+    which is J_1^- at modulus 3 (Euler's pentagonal theorem), in one sliced
+    pass per term over a copy of itself.  Each J_a, with constant term 1, is
+    then divided out by _divide.  Factors that are 1 modulo x^(n_max+1) are
+    left out: J_a for a > n_max, and the numerator when M > n_max (the Euler
+    series then has no terms).  A seeded rng shuffles the order of the
+    divisions.
     """
     (M,) = {step for _, _, step in factors}
     pairs = [(c, a) for c, a, _ in factors if 2 * a < M]
@@ -212,9 +235,11 @@ def _theta_quotient(factors: list, n_max: int,
               for c, a in pairs if a <= n_max]
     top = [1] + [0] * (n_max // M)
     for _ in range(len(pairs) if euler else 0):
-        # descending i reads only entries not yet multiplied
-        for i in range(len(top) - 1, 0, -1):
-            top[i] += sum([c * top[i - e] for e, c in euler if e <= i])
+        old = top[:]
+        for e, c in euler:
+            # map stops at the end of top[e:], so old needs no upper bound
+            top[e:] = map(operator.add if c == 1 else operator.sub,
+                          top[e:], old)
     values = [0] * (n_max + 1)
     values[::M] = top
     if rng is not None:
@@ -520,7 +545,7 @@ def _feq_case_of(ctx: PrimeContext, k: int) -> str:
     return {1: "1", 2: "2", ctx.p: "p", 2 * ctx.p: "2p"}[g]
 
 
-def verify_functional_equation(ctx: PrimeContext, case: str, h: int, k: int,
+def verify_functional_equation(ctx: PrimeContext, h: int, k: int,
                                z, truncation: int = 200,
                                precision: int | None = None,
                                variant: str = "plain") -> HPReal:
@@ -536,7 +561,6 @@ def verify_functional_equation(ctx: PrimeContext, case: str, h: int, k: int,
     too large for the comparison to mean anything at this precision.
     """
     _check_ctx(ctx)
-    _check_choice("case", case, FEQ_CASES)
     _check_choice("variant", variant, VARIANTS)
     _check_int("h", h)
     _check_int("k", k, 1)
@@ -545,8 +569,7 @@ def verify_functional_equation(ctx: PrimeContext, case: str, h: int, k: int,
         raise ValueError("need 0 < h <= k")
     if math.gcd(h, k) != 1:
         raise ValueError("h and k must be coprime")
-    if _feq_case_of(ctx, k) != case:
-        raise ValueError(f"k={k} does not fall in case {case}")
+    case = _feq_case_of(ctx, k)
     prec = _precision(precision)
     p, q = ctx.p, ctx.q
     # the transformed product: a letter per case, and the sign chi_h where

@@ -202,8 +202,9 @@ def suite_tau(scale: str) -> list:
     return checks
 
 
-# functional-equation sample points: (p, case, h, k, z); every gcd class,
-# chosen so both series arguments stay well inside the unit disk
+# functional-equation sample points (p, h, k, z) under the case tag
+# _feq_case_of gives their k; every gcd class, chosen so both series
+# arguments stay well inside the unit disk
 FEQ_POINTS = {
     "2p": [(5, 1, 10, "1"), (17, 5, 34, "1.2"), (13, 3, 26, "1")],
     "p": [(5, 2, 5, "1"), (13, 1, 13, "1"), (17, 1, 17, "1")],
@@ -225,7 +226,7 @@ def suite_feq(scale: str) -> list:
                 cid = f"feq.case{case}.p{p}.h{h}.k{k}.{variant}"
                 try:
                     res = verify_functional_equation(
-                        ctx, case, h, k, z, truncation=200, precision=128,
+                        ctx, h, k, z, truncation=200, precision=128,
                         variant=variant)
                 except InconclusiveError as exc:
                     checks.append({"id": cid, "status": "inconclusive",

@@ -174,6 +174,44 @@ def test_theta_quotient_matches_fold_for_every_family(p):
                     == _fold(table, n_max)), (p, family, n_max)
 
 
+def _literal_divide(values, terms, n_max):
+    """w[i] = v[i] - sum c*w[i-e] over the terms with e <= i, index by
+    index."""
+    w = list(values)
+    for i in range(n_max + 1):
+        w[i] = values[i] - sum(c * w[i - e] for e, c in terms if e <= i)
+    return w
+
+
+def test_divide_matches_literal_recurrence():
+    """_divide equals the literal recurrence on seeded big-int vectors, for
+    hand-picked and seeded sparse term lists on both sides of _SLICE."""
+    rng = random.Random(25)
+    S = series._SLICE
+    cases = [
+        (1, [(1, 1)]), (1, [(1, -1)]),                  # n_max = 1
+        (S + 2, [(1, 1), (S - 1, -1), (S + 4, 1)]),     # below the first far e
+        (S + 3, [(1, -1), (S, 1)]),                     # one far term
+        (300, [(1, 1), (S - 1, -1)]),                   # near terms only
+        (300, [(3, -1)]), (300, [(S + 9, 1)]),          # a single term
+        # blocks [1, 1+S), [1+S, 1+2S), ...: S+5 and 2S+2 start inside one
+        (200, [(1, 1), (S, -1), (S + 5, 1), (2 * S + 2, -1)]),
+        (400, [(4, 1), (S, -1), (S + 1, -1), (3 * S, -1)]),   # add-only far
+        (400, [(4, -1), (S + 2, 1), (2 * S, 1), (5 * S, 1)]), # sub-only far
+    ]
+    for _ in range(120):
+        n_max = rng.randrange(1, 601)
+        count = rng.randrange(1, min(n_max, 40) + 1)
+        es = sorted(rng.sample(range(1, n_max + 1), count))
+        signs = rng.choice(((1,), (-1,), (1, -1)))
+        cases.append((n_max, [(e, rng.choice(signs)) for e in es]))
+    for n_max, terms in cases:
+        values = [rng.randrange(-10 ** 40, 10 ** 40) for _ in range(n_max + 1)]
+        want = _literal_divide(values, terms, n_max)
+        series._divide(values, terms, n_max)
+        assert values == want, (n_max, terms)
+
+
 def _literal_product(factors, n_max):
     """prod (1 + c*x^e) over the (e, c) in factors, expanded term by term
     up to x^n_max."""
@@ -652,7 +690,7 @@ def test_non_finite_arguments_raise():
             theta_products(C17, "Phi", HPComplex(x, 64), 10)
     for z in (nan, mp.mpc(1, nan), inf):
         with pytest.raises(ValueError, match="^z must be finite"):
-            verify_functional_equation(C17, "1", 1, 1, z)
+            verify_functional_equation(C17, 1, 1, z)
 
 
 def test_theta_rejects_outside_disk():
@@ -670,9 +708,9 @@ def test_theta_rejects_outside_disk():
 # ---------------------------------------------------------------------------
 
 def test_feq_spec_examples():
-    r1 = verify_functional_equation(C17, "1", 1, 1, 1, 200, 128)
-    r2 = verify_functional_equation(C5, "2", 1, 2, mp.mpf(3) / 2, 200, 128)
-    r3 = verify_functional_equation(C17, "p", 1, 17, 1, 200, 128)
+    r1 = verify_functional_equation(C17, 1, 1, 1, 200, 128)
+    r2 = verify_functional_equation(C5, 1, 2, mp.mpf(3) / 2, 200, 128)
+    r3 = verify_functional_equation(C17, 1, 17, 1, 200, 128)
     for r in (r1, r2, r3):
         assert float(r.value) < 1e-9
 
@@ -686,8 +724,9 @@ def test_feq_all_cases_both_variants():
         (C17, "1", 2, 3, mp.mpf("0.4")),
     ]
     for ctx, case, h, k, z in pts:
+        assert series._feq_case_of(ctx, k) == case
         for variant in ("plain", "dagger"):
-            r = verify_functional_equation(ctx, case, h, k, z, 200, 128,
+            r = verify_functional_equation(ctx, h, k, z, 200, 128,
                                            variant=variant)
             assert float(r.value) < 1e-9, (ctx.p, case, h, k, variant)
 
@@ -789,34 +828,32 @@ def test_feq_suite_pinned_residuals(monkeypatch):
 
 def test_feq_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        verify_functional_equation(C5, "odd", 1, 1, 1)
+        verify_functional_equation(C5, "1", 1, 1, 1)     # a case tag for h
     with pytest.raises(ValueError):
-        verify_functional_equation(C5, "1", 2, 4, 1)        # not coprime
+        verify_functional_equation(C5, 2, 4, 1)          # not coprime
     with pytest.raises(ValueError):
-        verify_functional_equation(C5, "1", 5, 3, 1)        # h > k
+        verify_functional_equation(C5, 5, 3, 1)          # h > k
     with pytest.raises(ValueError):
-        verify_functional_equation(C5, "2", 1, 3, 1)        # case mismatch
-    with pytest.raises(ValueError):
-        verify_functional_equation(C5, "1", 1, 1, -1)       # Re z <= 0
+        verify_functional_equation(C5, 1, 1, -1)         # Re z <= 0
     with pytest.raises(ValueError, match=r"variant must be one of "
                        r"\('plain', 'dagger'\), got 'both'"):
-        verify_functional_equation(C5, "1", 1, 1, 1, variant="both")
+        verify_functional_equation(C5, 1, 1, 1, variant="both")
     for prec in (True, 4, 128.0):
         with pytest.raises(ValueError):
-            verify_functional_equation(C5, "1", 1, 1, 1, precision=prec)
+            verify_functional_equation(C5, 1, 1, 1, precision=prec)
     for h, k in ((True, 1), (1, True), (1.0, 1), (1, 1.0)):
         with pytest.raises(ValueError):
-            verify_functional_equation(C5, "1", h, k, 1)
+            verify_functional_equation(C5, h, k, 1)
     for truncation in (0, 2.5, True):
         with pytest.raises(ValueError):
-            verify_functional_equation(C5, "1", 1, 1, 1, truncation)
+            verify_functional_equation(C5, 1, 1, 1, truncation)
 
 
 def test_feq_inconclusive_when_tail_dominates():
     # |x''| = exp(-2 pi/(34*2*2)) ~ 0.955: the tail at truncation 200 swamps
     # a 128-bit comparison, so the check must refuse rather than report
     with pytest.raises(InconclusiveError):
-        verify_functional_equation(C17, "2", 1, 2, 2, 200, 128)
+        verify_functional_equation(C17, 1, 2, 2, 200, 128)
 
 
 def test_feq_case_tags_cover_gcds():
