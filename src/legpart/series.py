@@ -44,8 +44,6 @@ _SIGNS = (1, -1)
 THETA_FAMILIES = ("R+", "R-", "S+", "S-", "T+", "T-", "U+", "U-",
                   "F_r", "F_s", "G_r", "G_s", "Phi", "PhiDagger")
 
-FEQ_CASES = ("2p", "p", "2", "1")
-
 # the primes rademacher_eval accepts, which the verify suites run over
 SERIES_PRIMES = (5, 13, 17)
 
@@ -142,14 +140,14 @@ def _jacobi_terms(M: int, a: int, signed: bool, n_max: int) -> list:
     return sorted(terms)
 
 
-# Near terms take an interpreted step per entry; far terms share one summed
-# pass per block, and a block is as wide as the first far exponent.  So a
-# lower threshold steps through fewer terms one entry at a time, but in
-# narrower blocks, each paying a few slices of set-up.  Timed on the seven
-# oracle_scan tables (six scans to n = 5000, p = 17 to n = 8000), 4 to 12
-# came within 3% of the best, 8.  16 cost 5% more and 32 21%: both a and
-# M - a of a J_a then fall below it and run as a two-term loop.  1 cost 5%
-# more, from blocks of width 3 at p = 5.
+# Near terms take an interpreted step per entry; far terms act on a block in
+# a few slice passes, and a block is at most as wide as the first far
+# exponent.  So a lower threshold steps through fewer terms one entry at a
+# time, but in narrower blocks, each paying a few slices of set-up.  Timed
+# on the seven oracle_scan tables (six scans to n = 5000, p = 17 to n =
+# 8000), 4 to 12 came within 2% of 8 and 16 cost 6% more (median ratio over
+# 15 rounds); 32 cost 21% more in an earlier sweep, as both a and M - a of
+# a J_a then fall below it and run as a two-term loop.
 _SLICE = 8
 
 
@@ -159,10 +157,13 @@ def _divide(values: list, terms: list, n_max: int) -> None:
     The exact recurrence w[i] = v[i] - sum c*w[i-e], n_max - e + 1 big-int
     additions per term.  Near terms (e < _SLICE, and always the first) run
     element by element; the rest are far.  The values go in blocks [lo, hi)
-    as wide as the first far exponent, so a far term reads only finished
-    entries: those with e <= lo act on the block in one summed pass per
-    sign, and the few with lo < e < hi, which start inside it, in one sliced
-    pass each.  The near terms then run through the block in order.
+    no wider than the first far exponent, each ending where the next far
+    term starts, so every far term in reach has e <= lo and reads only
+    finished entries.  Per sign, those terms act on the block in one pass
+    per slice values[lo-e:hi-e] while there are at most two, and in one
+    summed pass over all of them beyond that: zipping the slices costs
+    more per entry than it saves until the third.  The near terms then run
+    through the block in order.
     """
     near = [t for t in terms if t[0] < _SLICE] or terms[:1]
     far = terms[len(near):]
@@ -171,28 +172,31 @@ def _divide(values: list, terms: list, n_max: int) -> None:
              [e for e, c in near[:k + 1] if c == 1]) for k in range(len(near))]
     starts = [e for e, _ in near] + [n_max + 1]
     width = far[0][0] if far else n_max
+    stops = [e for e, _ in far] + [n_max + 1]
     adds, subs = [], []     # far e <= lo, where c = -1 and where c = 1
     k = 0
-    for lo in range(starts[0], n_max + 1, width):
-        hi = min(lo + width, n_max + 1)
-        while k < len(far) and far[k][0] <= lo:
+    lo = starts[0]
+    while lo <= n_max:
+        while stops[k] <= lo:
             e, c = far[k]
             (adds if c == -1 else subs).append(e)
             k += 1
+        hi = min(lo + width, stops[k], n_max + 1)
         if adds or subs:
             block = values[lo:hi]
-            if adds:
+            if len(adds) > 2:
                 block = map(sum, zip(block, *[values[lo - e:hi - e]
                                               for e in adds]))
-            if subs:
+            else:
+                for e in adds:
+                    block = map(operator.add, block, values[lo - e:hi - e])
+            if len(subs) > 2:
                 block = map(operator.sub, block, map(sum, zip(
                     *[values[lo - e:hi - e] for e in subs])))
+            else:
+                for e in subs:
+                    block = map(operator.sub, block, values[lo - e:hi - e])
             values[lo:hi] = block
-        for e, c in far[k:]:
-            if e >= hi:
-                break
-            values[e:hi] = map(operator.sub if c == 1 else operator.add,
-                               values[e:hi], values[:hi - e])
         for (add, sub), s, t in zip(runs, starts, starts[1:]):
             s, t = max(lo, s), min(hi, t)
             if s >= t:
@@ -209,6 +213,7 @@ def _divide(values: list, terms: list, n_max: int) -> None:
                 for i in range(s, t):
                     values[i] += (sum([values[i - e] for e in add])
                                   - sum([values[i - e] for e in sub]))
+        lo = hi
 
 
 def _theta_quotient(factors: list, n_max: int,

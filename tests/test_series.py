@@ -23,7 +23,7 @@ from legpart.charsums import (_chi_class, _twisted_phases,
                               kloosterman_L_plus)
 from legpart.context import make_context
 from legpart.dedekind import dedekind_s_chi, dedekind_t_chi
-from legpart.series import (FEQ_CASES, THETA_FAMILIES, InconclusiveError,
+from legpart.series import (THETA_FAMILIES, InconclusiveError,
                             RademacherResult, SeriesEvalConfig, _factors,
                             _fixed_cis, _jacobi_terms, _mpf_add,
                             _numeric_sum, _phase_vector, _poch_partial,
@@ -185,7 +185,8 @@ def _literal_divide(values, terms, n_max):
 
 def test_divide_matches_literal_recurrence():
     """_divide equals the literal recurrence on seeded big-int vectors, for
-    hand-picked and seeded sparse term lists on both sides of _SLICE."""
+    hand-picked and seeded sparse term lists on both sides of _SLICE, with
+    one to many far terms of each sign in reach of a block."""
     rng = random.Random(25)
     S = series._SLICE
     cases = [
@@ -194,10 +195,13 @@ def test_divide_matches_literal_recurrence():
         (S + 3, [(1, -1), (S, 1)]),                     # one far term
         (300, [(1, 1), (S - 1, -1)]),                   # near terms only
         (300, [(3, -1)]), (300, [(S + 9, 1)]),          # a single term
-        # blocks [1, 1+S), [1+S, 1+2S), ...: S+5 and 2S+2 start inside one
+        # S+5 and 2S+2 fall inside S-wide blocks from 1, so blocks end there
         (200, [(1, 1), (S, -1), (S + 5, 1), (2 * S + 2, -1)]),
         (400, [(4, 1), (S, -1), (S + 1, -1), (3 * S, -1)]),   # add-only far
         (400, [(4, -1), (S + 2, 1), (2 * S, 1), (5 * S, 1)]), # sub-only far
+        # mixed: one sign passes per slice while the other is summed
+        (500, [(1, 1), (S, -1), (S + 3, 1), (2 * S, -1), (3 * S, -1),
+               (4 * S + 1, 1)]),
     ]
     for _ in range(120):
         n_max = rng.randrange(1, 601)
@@ -857,7 +861,9 @@ def test_feq_inconclusive_when_tail_dominates():
 
 
 def test_feq_case_tags_cover_gcds():
-    assert set(FEQ_CASES) == {"2p", "p", "2", "1"}
+    for ctx in (C5, C13, C17):
+        tags = {series._feq_case_of(ctx, k) for k in range(1, 2 * ctx.p + 1)}
+        assert tags == {"2p", "p", "2", "1"}, ctx.p
 
 
 # ---------------------------------------------------------------------------
