@@ -375,6 +375,25 @@ def _mpf_add(am: int, ae: int, bm: int, be: int, prec: int) -> tuple:
     return bm >> n, be + n
 
 
+def _poch_settled(zr: int, zre: int, zi: int, zie: int, qi: int, gap: int,
+                  products) -> bool:
+    """Whether no later factor of a chain with parts below 2^gap, gap =
+    -(prec + 5), can change a bit of any (r, re, i, ie) product: at once
+    for a zero or real (zi = qi = 0) chain, which adds no cross terms, else
+    when each cross term, at most 2^t times a part (t = 1 + the chain's top
+    bit), lies more than prec + 5 bits below the part it is added to."""
+    if not (zr or zi) or not (zi or qi):
+        return True
+    t = max(e + m.bit_length() for m, e in ((zr, zre), (zi, zie)) if m)
+    for r, re, i, ie in products:
+        if not (r and i):
+            return False
+        tr, ti = re + r.bit_length(), ie + i.bit_length()
+        if ti + t >= tr + gap or tr + t >= ti + gap:
+            return False
+    return True
+
+
 def _poch_partial(z, q, truncation: int, twin: bool = False):
     """Partial product prod_{j<N} (1 - z q^j), paired with that of -z
     when twin is set (else with None).  The tail bound, which both share,
@@ -390,12 +409,24 @@ def _poch_partial(z, q, truncation: int, twin: bool = False):
     rounded chain.  Negation is exact and the rounding sign-symmetric, so
     the chain of -z is the negated chain of z, and the twin factors are
     1 + z q^j.
+
+    The loop stops, with the products of all N factors, once no later
+    factor can change a bit (_poch_settled).  Proof, for chain parts below
+    2^t now: (1) with both parts of q below 1/2, |zr qr -+ zi qi| < 2^t, so
+    no later part rounds above 2^t; (2) with t < -(prec + 5), each 1 -+ zr
+    rounds to 1; (3) a cross term more than prec + 5 bits below its part is
+    under a quarter unit in that part's last place, so mpf_add, far branch
+    or not, returns the part unchanged.
     """
     prec = mp.prec
     vr, vre, vi, vie = ur, ure, ui, uie = 1, 0, 0, 0
     (zr, zre), (zi, zie), (qr, qre), (qi, qie) = [
         (-m if s else m, e)
         for s, m, e, _ in mp.mpc(z)._mpc_ + mp.mpc(q)._mpc_]
+    # no part of the chain grows: it is zero, or both parts of q are < 1/2
+    shrinks = not (zr or zi) or all(not m or e + m.bit_length() < 0
+                                    for m, e in ((qr, qre), (qi, qie)))
+    gap = -prec - 5
     wi, wie = _mpf_add(zi, zie, 0, 0, prec)
     for _ in range(truncation):
         fr, fre = _mpf_add(1, 0, -zr, zre, prec)
@@ -411,6 +442,11 @@ def _poch_partial(z, q, truncation: int, twin: bool = False):
             *_mpf_add(zr * qr, zre + qre, -zi * qi, zie + qie, prec),
             *_mpf_add(zr * qi, zre + qie, zi * qr, zie + qre, prec))
         wi, wie = zi, zie
+        if (shrinks and (not zr or zre + zr.bit_length() < gap)
+                and (not zi or zie + zi.bit_length() < gap)
+                and _poch_settled(zr, zre, zi, zie, qi, gap, (
+                    (vr, vre, vi, vie), (ur, ure, ui, uie))[:1 + twin])):
+            break
     val = mp.make_mpc((from_man_exp(vr, vre), from_man_exp(vi, vie)))
     twin_val = mp.make_mpc((from_man_exp(ur, ure), from_man_exp(ui, uie)))
     return val, twin_val if twin else None
@@ -431,7 +467,8 @@ def _poch_at(z, q, truncation: int, part, wrap):
 
 
 def q_pochhammer(z, q, truncation: int) -> HPComplex:
-    """Truncated (z;q)-product: prod_{j<truncation} (1 - z q^j).
+    """Truncated (z;q)-product: prod_{j<truncation} (1 - z q^j), the value
+    of all truncation factors, however early the kernel stops.
 
     Needs |q| < 1; see q_pochhammer_tail for the matching tail bound.
     """
