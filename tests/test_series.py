@@ -623,6 +623,111 @@ def test_poch_kernel_mirrors_far_operand_add():
         assert twin._mpc_ == _literal_poch(-z, q, 200)._mpc_
 
 
+def _mpf_add_calls(run) -> int:
+    """How many _mpf_add calls run() makes."""
+    calls = 0
+    add = series._mpf_add
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return add(*args)
+
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(series, "_mpf_add", counted)
+        run()
+    return calls
+
+
+def _poch_steps(z, q, truncation):
+    """Factor steps _poch_partial(z, q, truncation, True) runs before it
+    stops: one _mpf_add rounds the first imaginary part, eight make a step."""
+    steps, first = divmod(
+        _mpf_add_calls(lambda: _poch_partial(z, q, truncation, True)) - 1, 8)
+    assert first == 0 and steps <= truncation
+    return steps
+
+
+def _assert_poch_stop_exact(z, q, truncation=200):
+    """The kernel against the literal loop at z and -z at the truncation
+    and around the step s it stops at, so a stop one factor early fails;
+    returns s."""
+    s = _poch_steps(z, q, truncation)
+    for n in {max(s - 1, 0), s, s + 1, truncation}:
+        got, twin = _poch_partial(z, q, n, True)
+        assert got._mpc_ == _literal_poch(z, q, n)._mpc_, (mp.prec, z, q, n)
+        assert twin._mpc_ == _literal_poch(-z, q, n)._mpc_, (mp.prec, z, q, n)
+    return s
+
+
+def test_poch_kernel_matches_literal_loop_on_feq_chains(monkeypatch):
+    # every (z, q) chain the p = 17 feq points build, on both sides: the
+    # families and base points are read off verify_functional_equation
+    # itself, at the precision it runs them at
+    seen = []
+
+    def recorded(ctx, family, x, truncation):
+        seen.append((ctx, series._BASE.get(family, family), x, mp.prec))
+        return theta_value(ctx, family, x, truncation)
+
+    theta_value = series._theta_value
+    monkeypatch.setattr(series, "_theta_value", recorded)
+    _twin_products.cache_clear()
+    for points in verify.FEQ_POINTS.values():
+        for p, h, k, z in points:
+            if p == 17:
+                for variant in ("plain", "dagger"):
+                    verify_functional_equation(C17, h, k, Fraction(z), 200,
+                                               128, variant=variant)
+    chains, stops = {}, []
+    for ctx, family, x, prec in seen:
+        with mp.workprec(prec):
+            for z, q in _theta_pairs(ctx, family, x):
+                chains[z._mpc_, q._mpc_, prec] = z, q
+    assert len(chains) == 160      # the kernel calls these four points make
+    for (*_, prec), (z, q) in chains.items():
+        with mp.workprec(prec):
+            stops.append(_assert_poch_stop_exact(z, q))
+    assert 0 < sum(s < 200 for s in stops) < len(stops)
+
+
+def test_poch_stop_fires_where_pinned():
+    # the full feq suite's _mpf_add count (435,520 without the stop), and
+    # the stop step of fixed chains: z q^s = 2^-(2s+1) has t = -2s, first
+    # below -(176 + 5) at s = 91, and a part of q at 1/2 never stops
+    _twin_products.cache_clear()
+    assert _mpf_add_calls(lambda: verify.suite_feq("full")) == 145_245
+    with mp.workprec(176):
+        assert _poch_steps(mp.mpc("0.5"), mp.mpc("0.25"), 200) == 91
+        assert _poch_steps(mp.mpc("0.5"), mp.mpc("0.5"), 200) == 200
+
+
+def test_poch_stop_edge_chains_match_literal_loop():
+    for prec in (53, 176, 240):
+        with mp.workprec(prec):
+            tiny = mp.mpf(2) ** -300
+            cq = mp.mpc("0.3", "0.2")
+            # a zero chain settles at once, whatever q
+            for q in (mp.mpc("0.3"), cq, mp.mpc("0.55", "0.5")):
+                assert _assert_poch_stop_exact(mp.mpc(0), q) == 1
+            # a real chain, and a real z whose product starts real while
+            # q turns the chain complex: that zero part has not settled
+            assert _assert_poch_stop_exact(mp.mpc("0.7"), mp.mpc("-0.3")) < 200
+            assert _assert_poch_stop_exact(mp.mpc(tiny), cq) > 1
+            # |q| = 0.6 and 0.99 with a part >= 1/2 run every factor
+            for q in (mp.mpc("0.6"), mp.mpc("0.7", "0.7"),
+                      mp.mpc("-0.3", "0.55")):
+                for z in (mp.mpc("0.4", "0.1"), mp.mpc(tiny, tiny)):
+                    assert _assert_poch_stop_exact(z, q, 120) == 120
+            # after the first factor the imaginary part of 1 - z has t = -1
+            # and its cross term 1 * z q, q = 2^-(d+1), has t = -d - 1: it
+            # sits d bits below, and the stop needs d > prec + 5
+            z = mp.mpc(mp.ldexp(mp.mpf("0.3"), -prec - 20), "0.3")
+            for d, steps in ((prec + 4, 2), (prec + 5, 2), (prec + 6, 1)):
+                q = mp.mpc(mp.ldexp(1, -d - 1))
+                assert _assert_poch_stop_exact(z, q) == steps, (prec, d)
+
+
 def test_mpf_add_matches_libmpf():
     # exact products (wider than prec) and rounded values, near and far
     # apart, against mpf_add itself
