@@ -21,7 +21,6 @@ from .arith import (
     OrderCapError,
     bessel_i1,
     cyclo_add,
-    cyclo_add_phase,
     cyclo_from_phases,
     cyclo_is_zero,
     cyclo_to_complex,
@@ -29,7 +28,6 @@ from .arith import (
     sawtooth,
 )
 from .charsums import (
-    KloostermanSum,
     check_congruence_mod16,
     check_congruence_modThK,
     kloosterman_L,
@@ -94,7 +92,6 @@ __all__ = [
     "HPComplex",
     "HPReal",
     "InconclusiveError",
-    "KloostermanSum",
     "OrderCapError",
     "PrimeContext",
     "QConstants",
@@ -107,7 +104,6 @@ __all__ = [
     "check_congruence_mod16",
     "check_congruence_modThK",
     "cyclo_add",
-    "cyclo_add_phase",
     "cyclo_from_phases",
     "cyclo_is_zero",
     "cyclo_to_complex",

@@ -31,7 +31,6 @@ __all__ = [
     "OrderCapError",
     "CyclotomicSum",
     "cyclo_from_phases",
-    "cyclo_add_phase",
     "cyclo_add",
     "cyclo_neg",
     "cyclo_is_zero",
@@ -254,13 +253,6 @@ def cyclo_from_phases(phases, weights=None) -> CyclotomicSum:
     order = _capped(2 * math.lcm(1, *(ph.denominator for ph in phases)))
     return _canonical(order, ((ph.numerator * (order // (2 * ph.denominator)),
                                w) for ph, w in zip(phases, weights)))
-
-
-def cyclo_add_phase(s: CyclotomicSum, phase,
-                    weight: int = 1) -> CyclotomicSum:
-    """s + weight * exp(i pi phase), rescaling the order to the lcm if
-    needed; phase and weight are checked as in cyclo_from_phases."""
-    return cyclo_add(s, cyclo_from_phases([phase], [weight]))
 
 
 def cyclo_add(a: CyclotomicSum, b: CyclotomicSum) -> CyclotomicSum:

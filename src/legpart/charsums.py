@@ -18,7 +18,6 @@ each against transcription slips in the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,14 +30,12 @@ from .arith import (
     _check_int,
     _precision,
     cyclo_from_phases,
-    cyclo_is_zero,
 )
 from .context import (PrimeContext, _check_ctx, _csc_product, make_context,
                       norm_mod, power_class)
 from .dedekind import _chi_table, _dedekind_s_12k, _phi, _s_chi_cleared
 
 __all__ = [
-    "KloostermanSum",
     "lambda_exponent",
     "phi_root",
     "lambda_k",
@@ -55,22 +52,6 @@ __all__ = [
 VARIANTS = ("plain", "dagger")
 
 TAU_PAIRS = ("er", "es", "or", "os")
-
-
-@dataclass(frozen=True)
-class KloostermanSum:
-    """An exact complete exponential sum, stored as a cyclotomic integer.
-
-    kind is one of L, L_plus, L_dagger, L_dagger_minus, L_nmd: the entry
-    point and class restriction that built it.  The defining arguments are
-    the caller's own and are not kept.
-    """
-
-    sum: CyclotomicSum
-    kind: str
-
-    def is_zero(self) -> bool:
-        return cyclo_is_zero(self.sum)
 
 
 # One row per (prime, modulus k), read by both signs and every exact sum.
@@ -252,7 +233,7 @@ def _twisted_sum(ctx: PrimeContext, variant: str, k: int, n: int, m: int,
 
 
 def kloosterman_L(ctx: PrimeContext, k: int, n: int,
-                  variant: str = "plain") -> KloostermanSum:
+                  variant: str = "plain") -> CyclotomicSum:
     """Complete sum over invertible h mod k of the phase multiplier times
     exp(-2 pi i n h / k), as an exact cyclotomic integer.  Needs p coprime
     to k; the h=0 term makes the k=1 sum exactly 1."""
@@ -261,8 +242,7 @@ def kloosterman_L(ctx: PrimeContext, k: int, n: int,
     _check_int("k", k, 1)
     if k % ctx.p == 0:
         raise ValueError("k must be coprime to the context prime")
-    kind = "L" if variant == "plain" else "L_dagger"
-    return KloostermanSum(_twisted_sum(ctx, variant, k, n, 0, None), kind)
+    return _twisted_sum(ctx, variant, k, n, 0, None)
 
 
 def _require_odd_multiple(ctx: PrimeContext, K: int) -> None:
@@ -280,17 +260,16 @@ def _require_unit(ctx: PrimeContext, h: int, K: int) -> None:
 
 
 def kloosterman_L_plus(ctx: PrimeContext, K: int, n: int,
-                       m: int) -> KloostermanSum:
+                       m: int) -> CyclotomicSum:
     """Restriction of the complete sum to h in the quadratic class, with the
     extra inverse twist exp(-2 pi i m (2h)^{-1} / K).  K odd, p | K."""
     _check_ctx(ctx)
     _require_odd_multiple(ctx, K)
-    total = _twisted_sum(ctx, "plain", K, n, m, _chi_class(ctx, 1))
-    return KloostermanSum(total, "L_plus")
+    return _twisted_sum(ctx, "plain", K, n, m, _chi_class(ctx, 1))
 
 
 def kloosterman_L_nmd(ctx: PrimeContext, k: int, n: int, m: int, d: int,
-                      variant: str = "plain") -> KloostermanSum:
+                      variant: str = "plain") -> CyclotomicSum:
     """Class sum over h = d (mod p): the inverse twist is m h^{-1} when
     2p | k and m (2h)^{-1} when k is an odd multiple of p."""
     _check_ctx(ctx)
@@ -301,29 +280,18 @@ def kloosterman_L_nmd(ctx: PrimeContext, k: int, n: int, m: int, d: int,
     _check_int("d", d)
     if math.gcd(d, ctx.p) != 1:
         raise ValueError(f"d must be an int invertible mod p, got {d!r}")
-    total = _twisted_sum(ctx, variant, k, n, m, (d % ctx.p,))
-    return KloostermanSum(total, "L_nmd")
+    return _twisted_sum(ctx, variant, k, n, m, (d % ctx.p,))
 
 
-def kloosterman_dagger(ctx: PrimeContext, k: int, n: int,
-                       m: int | None = None) -> KloostermanSum:
-    """Dagger-phase sums, two entry points distinguished by k.
-
-    p coprime to k: the complete dagger sum (m must be omitted).
-    k an odd multiple of p: restriction to the nonquadratic class with the
-    inverse twist, so m is required.
-    """
+def kloosterman_dagger(ctx: PrimeContext, K: int, n: int,
+                       m: int) -> CyclotomicSum:
+    """Dagger-phase sum restricted to h in the nonquadratic class, with the
+    extra inverse twist exp(-2 pi i m (2h)^{-1} / K).  K odd, p | K.  For
+    p coprime to k the complete dagger sum is kloosterman_L(ctx, k, n,
+    variant="dagger")."""
     _check_ctx(ctx)
-    _check_int("k", k, 1)
-    if k % ctx.p != 0:
-        if m is not None:
-            raise ValueError("m only applies when p divides k")
-        return kloosterman_L(ctx, k, n, variant="dagger")
-    if m is None:
-        raise ValueError("m is required when p divides k")
-    _require_odd_multiple(ctx, k)
-    total = _twisted_sum(ctx, "dagger", k, n, m, _chi_class(ctx, -1))
-    return KloostermanSum(total, "L_dagger_minus")
+    _require_odd_multiple(ctx, K)
+    return _twisted_sum(ctx, "dagger", K, n, m, _chi_class(ctx, -1))
 
 
 def tau_count(ctx: PrimeContext, h: int, K: int, pair: str) -> int:

@@ -156,26 +156,28 @@ def _divide(values: list, terms: list, n_max: int) -> None:
 
     The exact recurrence w[i] = v[i] - sum c*w[i-e], n_max - e + 1 big-int
     additions per term.  Near terms (e < _SLICE, and always the first) run
-    element by element; the rest are far.  The values go in blocks [lo, hi)
-    no wider than the first far exponent, each ending where the next far
-    term starts, so every far term in reach has e <= lo and reads only
+    element by element; the rest are far.  Below the last near exponent
+    only some near terms reach and no far term does, so those few entries
+    run the recurrence literally.  From there the values go in blocks [lo,
+    hi) no wider than the first far exponent, each ending where the next
+    far term starts, so every far term in reach has e <= lo and reads only
     finished entries.  Per sign, those terms act on the block in one pass
     per slice values[lo-e:hi-e] while there are at most two, and in one
     summed pass over all of them beyond that: zipping the slices costs
-    more per entry than it saves until the third.  The near terms then run
-    through the block in order.
+    more per entry than it saves until the third.  All the near terms then
+    run through the block in order.
     """
     near = [t for t in terms if t[0] < _SLICE] or terms[:1]
     far = terms[len(near):]
-    # runs[k]: the near terms in reach from near[k][0] on, split by sign
-    runs = [([e for e, c in near[:k + 1] if c == -1],
-             [e for e, c in near[:k + 1] if c == 1]) for k in range(len(near))]
-    starts = [e for e, _ in near] + [n_max + 1]
+    lo = near[-1][0]
+    for i in range(near[0][0], min(lo, n_max + 1)):
+        values[i] -= sum(c * values[i - e] for e, c in near if e <= i)
+    add = [e for e, c in near if c == -1]   # near, where c = -1
+    sub = [e for e, c in near if c == 1]    # and where c = 1
     width = far[0][0] if far else n_max
     stops = [e for e, _ in far] + [n_max + 1]
     adds, subs = [], []     # far e <= lo, where c = -1 and where c = 1
     k = 0
-    lo = starts[0]
     while lo <= n_max:
         while stops[k] <= lo:
             e, c = far[k]
@@ -197,22 +199,18 @@ def _divide(values: list, terms: list, n_max: int) -> None:
                 for e in subs:
                     block = map(operator.sub, block, values[lo - e:hi - e])
             values[lo:hi] = block
-        for (add, sub), s, t in zip(runs, starts, starts[1:]):
-            s, t = max(lo, s), min(hi, t)
-            if s >= t:
-                continue
-            if not add and len(sub) == 1:
-                e = sub[0]
-                for i in range(s, t):
-                    values[i] -= values[i - e]
-            elif not sub and len(add) == 1:
-                e = add[0]
-                for i in range(s, t):
-                    values[i] += values[i - e]
-            else:
-                for i in range(s, t):
-                    values[i] += (sum([values[i - e] for e in add])
-                                  - sum([values[i - e] for e in sub]))
+        if not add and len(sub) == 1:
+            e = sub[0]
+            for i in range(lo, hi):
+                values[i] -= values[i - e]
+        elif not sub and len(add) == 1:
+            e = add[0]
+            for i in range(lo, hi):
+                values[i] += values[i - e]
+        else:
+            for i in range(lo, hi):
+                values[i] += (sum([values[i - e] for e in add])
+                              - sum([values[i - e] for e in sub]))
         lo = hi
 
 

@@ -15,7 +15,6 @@ from legpart.arith import (
     _prime_factors,
     bessel_i1,
     cyclo_add,
-    cyclo_add_phase,
     cyclo_from_phases,
     cyclo_is_zero,
     cyclo_neg,
@@ -119,25 +118,13 @@ def test_sawtooth_periodic_and_odd():
             assert sawtooth(x) == 0
 
 
-def test_cyclo_add_phase_examples():
-    acc = cyclo_from_phases([])
-    acc = cyclo_add_phase(acc, 0)
-    assert cyclo_to_complex(acc, 64).value == 1
-    acc = cyclo_add_phase(acc, 1)
-    assert cyclo_is_zero(acc)
-    full = cyclo_from_phases([Fraction(2 * j, 17) for j in range(17)])
-    assert cyclo_is_zero(full)
-
-
 def test_weights_must_be_ints():
     # a float weight would leave the zero test deciding on floats
     one = cyclo_from_phases([0])
     for w in (2.5, 1.0, True, Fraction(1), "1"):
         with pytest.raises(ValueError):
             cyclo_from_phases([0], [w])
-        with pytest.raises(ValueError):
-            cyclo_add_phase(one, 1, w)
-    assert cyclo_is_zero(cyclo_add_phase(one, 0, -1))
+    assert cyclo_is_zero(cyclo_add(one, cyclo_from_phases([0], [-1])))
     assert cyclo_from_phases([0, 1], [3, -2]).coeffs == (5, 0)
 
 
@@ -150,11 +137,8 @@ def test_phases_must_be_ints_or_fractions():
         with pytest.raises(ValueError, match="phase must be an int or a "
                                              "Fraction"):
             cyclo_from_phases([0, ph])
-        with pytest.raises(ValueError, match="phase must be an int or a "
-                                             "Fraction"):
-            cyclo_add_phase(one, ph)
     assert cyclo_from_phases([1, Fraction(-1)]).coeffs == (-2, 0)
-    assert cyclo_is_zero(cyclo_add_phase(one, Fraction(3)))
+    assert cyclo_is_zero(cyclo_add(one, cyclo_from_phases([Fraction(3)])))
 
 
 def _literal_from_phases(phases, weights):
@@ -208,6 +192,8 @@ def test_cyclo_is_zero_examples():
     assert cyclo_is_zero(sixth)
     single = cyclo_from_phases([Fraction(2, 5)])
     assert not cyclo_is_zero(single)
+    full = cyclo_from_phases([Fraction(2 * j, 17) for j in range(17)])
+    assert cyclo_is_zero(full)
 
 
 def test_cyclo_to_complex_examples():
@@ -232,6 +218,10 @@ def test_cyclo_neg_and_add():
     a = cyclo_from_phases([0, Fraction(1, 3)])
     b = cyclo_neg(a)
     assert cyclo_is_zero(cyclo_add(a, b))
+    # the empty sum is 0, whatever order it is held at
+    acc = cyclo_add(cyclo_from_phases([]), cyclo_from_phases([0]))
+    assert cyclo_to_complex(acc, 64).value == 1
+    assert cyclo_is_zero(cyclo_add(acc, cyclo_from_phases([1])))
 
 
 def test_order_cap_enforced():

@@ -256,3 +256,21 @@ def test_public_entry_points_reject_a_non_context(ctx):
         args = [1 for prm in params if prm.default is prm.empty]
         with pytest.raises(ValueError, match=r"ctx must be a PrimeContext"):
             fn(ctx, *args)
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its object is gone breaks
+    # `from legpart.<module> import *`, though nothing else reads __all__
+    mods = [legpart] + [importlib.import_module(f"legpart.{info.name}")
+                        for info in pkgutil.iter_modules(legpart.__path__)]
+    exporting = [mod for mod in mods if hasattr(mod, "__all__")]
+    assert {"legpart", "legpart.arith", "legpart.charsums",
+            "legpart.context", "legpart.dedekind"} <= {
+                mod.__name__ for mod in exporting}
+    for mod in exporting:
+        assert len(set(mod.__all__)) == len(mod.__all__), mod.__name__
+        for name in mod.__all__:
+            assert hasattr(mod, name), (mod.__name__, name)
+        namespace = {}
+        exec(f"from {mod.__name__} import *", namespace)
+        assert set(mod.__all__) <= set(namespace), mod.__name__

@@ -203,6 +203,16 @@ def test_divide_matches_literal_recurrence():
         (500, [(1, 1), (S, -1), (S + 3, 1), (2 * S, -1), (3 * S, -1),
                (4 * S + 1, 1)]),
     ]
+    # three or more near terms, with n_max below, at and just past the last
+    # near exponent, where the entries before it run the literal recurrence
+    for near in ([(2, 1), (3, -1), (5, 1)],
+                 [(1, -1), (2, 1), (4, 1), (S - 1, -1)],
+                 [(e, (-1) ** e) for e in range(1, S)]):
+        last = near[-1][0]
+        for n_max in (near[0][0] - 1, last - 1, last, last + 1, S + 6, 300):
+            if n_max >= 1:
+                cases.append((n_max, near))
+                cases.append((n_max, near + [(S + 1, 1), (2 * S + 3, -1)]))
     for _ in range(120):
         n_max = rng.randrange(1, 601)
         count = rng.randrange(1, min(n_max, 40) + 1)
@@ -1152,7 +1162,7 @@ def test_numeric_sums_match_exact_sums():
                 cases.append((k, n, 0, "plain", None,
                               kloosterman_L(ctx, k, n, "plain")))
                 cases.append((k, n, 0, "dagger", None,
-                              kloosterman_dagger(ctx, k, n)))
+                              kloosterman_L(ctx, k, n, "dagger")))
         for K in (p, 3 * p):
             for m in range(len(cms)):
                 if sig[m] == 0:
@@ -1164,10 +1174,10 @@ def test_numeric_sums_match_exact_sums():
                                   kloosterman_dagger(ctx, K, n, m)))
         for k, n, m, variant, cls, exact in cases:
             got = mp.make_mpf(_numeric_sum(ctx, k, n, m, variant, cls, wp))
-            want = cyclo_to_complex(exact.sum, wp).value
+            want = cyclo_to_complex(exact, wp).value
             with mp.workprec(wp):
                 assert abs(got - want) <= tol_abs + tol_rel * abs(want), \
-                    (p, exact.kind, k, n, m)
+                    (p, variant, k, n, m)
             checked += 1
     assert checked > 1000
 

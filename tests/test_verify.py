@@ -45,7 +45,7 @@ def test_grid_fail_witness_forms():
     # a string in a case prints quoted; a one-element case prints bare
     got = _grid("t.str", [("plain", 7, 3), (5, 1, "1/2")], lambda *c: False)
     assert got["witness"] == "2/2 cases failed: ('plain', 7, 3); (5, 1, '1/2')"
-    got = _grid("t.kind", [("L",), ("L_plus",)], lambda kind: kind != "L")
+    got = _grid("t.sample", [("L",), ("L_plus",)], lambda kind: kind != "L")
     assert got["witness"] == "1/2 cases failed: L"
 
 
