@@ -24,7 +24,6 @@ from .arith import (
     cyclo_from_phases,
     cyclo_is_zero,
     cyclo_to_complex,
-    default_precision,
     sawtooth,
 )
 from .charsums import (
@@ -112,7 +111,6 @@ __all__ = [
     "dedekind_s_tilde",
     "dedekind_t",
     "dedekind_t_chi",
-    "default_precision",
     "kloosterman_L",
     "kloosterman_L_nmd",
     "kloosterman_L_plus",

@@ -12,7 +12,6 @@ Everything in this module is pure: no function mutates its arguments.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,7 +21,7 @@ from mpmath.libmp import from_man_exp, fzero
 
 __all__ = [
     "DEFAULT_ORDER_CAP",
-    "default_precision",
+    "DEFAULT_PRECISION",
     "sawtooth",
     "HPReal",
     "HPComplex",
@@ -42,16 +41,8 @@ __all__ = [
 # denominators that show up in the default verification grids.
 DEFAULT_ORDER_CAP = 2 * math.lcm(16, 3, 2040)
 
-
-def default_precision() -> int:
-    """Working binary precision; override with the LEGPART_PRECISION env var."""
-    raw = os.environ.get("LEGPART_PRECISION", "128")
-    try:
-        prec = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"LEGPART_PRECISION must be an integer, got {raw!r}") from exc
-    _check_int("LEGPART_PRECISION", prec, 8)
-    return prec
+# Binary precision of every call not given one.
+DEFAULT_PRECISION = 128
 
 
 def _check_int(name: str, value, least: int | None = None) -> None:
@@ -73,10 +64,10 @@ def _check_choice(name: str, value, choices: tuple) -> None:
 
 
 def _precision(prec) -> int:
-    """prec itself, or default_precision() when it is None.  A bool, a
+    """prec itself, or DEFAULT_PRECISION when it is None.  A bool, a
     non-integer or a value below 8 bits raises ValueError."""
     if prec is None:
-        return default_precision()
+        return DEFAULT_PRECISION
     _check_int("precision", prec, 8)
     return prec
 

@@ -8,10 +8,10 @@ hashable and safe to share across processes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import mpmath as mp
 
@@ -83,6 +83,11 @@ def _least_primitive_root(p: int) -> int:
 def make_context(p: int) -> PrimeContext:
     """Build the context for a prime p = 1 (mod 4).
 
+    Every table is read off one walk over the powers of the least primitive
+    root g, which fills dlog.  chi(g^e) = (-1)^e.  By Wilson q!^2 = -1
+    (mod p), so q! = g^S with S = q/2 or 3q/2 (mod p - 1), and as i_unit is
+    g^(q/2), epsilon is S // q.
+
     Rejects composites and primes p = 3 (mod 4) with ValueError, and a p
     that is not an int, a bool included, with TypeError.  Primality is by
     trial division, which is fine for the desk-scale p this package targets.
@@ -97,41 +102,24 @@ def make_context(p: int) -> PrimeContext:
         raise ValueError(f"p = {p} is not 1 mod 4")
 
     q = (p - 1) // 2
-    chi = [0] * p
-    for a in range(1, p):
-        t = pow(a, q, p)
-        chi[a] = 1 if t == 1 else -1
-    r_set = tuple(a for a in range(1, q + 1) if chi[a] == 1)
-    s_set = tuple(a for a in range(1, q + 1) if chi[a] == -1)
-
-    b2 = Fraction(sum(a * a * chi[a] for a in range(1, p)), p)
-
     g = _least_primitive_root(p)
     dlog = [None] * p
     v = 1
     for e in range(p - 1):
         dlog[v] = e
         v = v * g % p
-    i_unit = pow(g, (p - 1) // 4, p)
+    chi = (0, *(-1 if e & 1 else 1 for e in dlog[1:]))
+    r_set = tuple(a for a in range(1, q + 1) if chi[a] == 1)
+    s_set = tuple(a for a in range(1, q + 1) if chi[a] == -1)
 
-    fq = math.factorial(q) % p
-    if fq == i_unit:
-        epsilon = 0
-    elif fq == p - i_unit:
-        epsilon = 1
-    else:  # pragma: no cover - impossible for genuine primes
-        raise ArithmeticError(f"half factorial mod {p} is not a 4th root of 1")
-
-    cum = []
-    run = 0
-    for t in range(p):
-        run += chi[t]
-        cum.append(run)
+    b2 = Fraction(sum(a * a * chi[a] for a in range(1, p)), p)
+    i_unit = pow(g, q // 2, p)
+    epsilon = sum(dlog[1:q + 1]) % (p - 1) // q
 
     return PrimeContext(
         p=p,
         q=q,
-        chi=tuple(chi),
+        chi=chi,
         r_set=r_set,
         s_set=s_set,
         b2=b2,
@@ -140,7 +128,7 @@ def make_context(p: int) -> PrimeContext:
         epsilon=epsilon,
         kappa_sq=Fraction(2, 3) * (1 - Fraction(1, p)),
         dlog=tuple(dlog),
-        chi_cumsum=tuple(cum),
+        chi_cumsum=tuple(accumulate(chi)),
     )
 
 

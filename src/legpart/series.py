@@ -33,8 +33,8 @@ from mpmath.libmp import (bitcount, from_int, from_man_exp, from_rational,
                          mpf_mul_int, pi_fixed, to_fixed)
 from mpmath.libmp.libelefun import cos_sin_basecase
 
-from .arith import (HPComplex, HPReal, _bessel_i1_mpf, _check_choice,
-                    _check_int, _precision, default_precision, to_mpf)
+from .arith import (DEFAULT_PRECISION, HPComplex, HPReal, _bessel_i1_mpf,
+                    _check_choice, _check_int, _precision, to_mpf)
 from .charsums import (VARIANTS, _chi_class, _twisted_phases, lambda_exponent,
                        lambda_k)
 from .context import PrimeContext, _check_ctx, make_context
@@ -324,7 +324,7 @@ def _as_mpc(name: str, x):
 
 def _carried_prec(*xs) -> int:
     precs = [x.prec for x in xs if isinstance(x, (HPReal, HPComplex))]
-    return max(precs) if precs else default_precision()
+    return max(precs) if precs else DEFAULT_PRECISION
 
 
 def _poch_tail_bound(z, q, truncation: int):
@@ -580,11 +580,6 @@ def theta_products(ctx: PrimeContext, family: str, x,
 # transformation checks
 # ---------------------------------------------------------------------------
 
-def _feq_case_of(ctx: PrimeContext, k: int) -> str:
-    g = math.gcd(k, 2 * ctx.p)
-    return {1: "1", 2: "2", ctx.p: "p", 2 * ctx.p: "2p"}[g]
-
-
 def verify_functional_equation(ctx: PrimeContext, h: int, k: int,
                                z, truncation: int = 200,
                                precision: int | None = None,
@@ -609,15 +604,13 @@ def verify_functional_equation(ctx: PrimeContext, h: int, k: int,
         raise ValueError("need 0 < h <= k")
     if math.gcd(h, k) != 1:
         raise ValueError("h and k must be coprime")
-    case = _feq_case_of(ctx, k)
     prec = _precision(precision)
     p, q = ctx.p, ctx.q
-    # the transformed product: a letter per case, and the sign chi_h where
-    # p | k and chi_k where not, flipped for dagger
+    # the transformed product: R, S, T, U for gcd(k, 2p) = 2p, p, 2, 1, and
+    # the sign chi_h where p | k and chi_k where not, flipped for dagger
     flip = 1 if variant == "plain" else -1
-    sgn = flip * ctx.chi[(h if case in ("2p", "p") else k) % p]
-    fam = {"2p": "R", "p": "S", "2": "T", "1": "U"}[case]
-    fam += "+" if sgn == 1 else "-"
+    sgn = flip * ctx.chi[(k if k % p else h) % p]
+    fam = ("TU" if k % p else "RS")[k % 2] + ("+" if sgn == 1 else "-")
     with mp.workprec(prec + 32):
         zz = _as_mpc("z", z)
         if mp.re(zz) <= 0:

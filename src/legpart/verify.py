@@ -202,9 +202,9 @@ def suite_tau(scale: str) -> list:
     return checks
 
 
-# functional-equation sample points (p, h, k, z) under the case tag
-# _feq_case_of gives their k; every gcd class, chosen so both series
-# arguments stay well inside the unit disk
+# functional-equation sample points (p, h, k, z) under the tag of
+# gcd(k, 2p); every gcd class, chosen so both series arguments stay well
+# inside the unit disk
 FEQ_POINTS = {
     "2p": [(5, 1, 10, "1"), (17, 5, 34, "1.2"), (13, 3, 26, "1")],
     "p": [(5, 2, 5, "1"), (13, 1, 13, "1"), (17, 1, 17, "1")],

@@ -10,6 +10,7 @@ import pytest
 from legpart.arith import (
     DEFAULT_ORDER_CAP,
     CyclotomicSum,
+    HPReal,
     OrderCapError,
     _bessel_i1_mpf,
     _prime_factors,
@@ -19,9 +20,11 @@ from legpart.arith import (
     cyclo_is_zero,
     cyclo_neg,
     cyclo_to_complex,
-    default_precision,
     sawtooth,
 )
+from legpart.charsums import lambda_k
+from legpart.context import make_context, q_constants
+from legpart.series import q_pochhammer
 
 
 def _mobius(m: int) -> int:
@@ -391,14 +394,24 @@ def test_bessel_kernel_matches_public_on_seeded_grid():
     assert checked == 5 * 121
 
 
-def test_default_precision_env(monkeypatch):
-    monkeypatch.delenv("LEGPART_PRECISION", raising=False)
-    assert default_precision() == 128
-    monkeypatch.setenv("LEGPART_PRECISION", "256")
-    assert default_precision() == 256
-    monkeypatch.setenv("LEGPART_PRECISION", "junk")
-    with pytest.raises(ValueError):
-        default_precision()
-    monkeypatch.setenv("LEGPART_PRECISION", "4")
-    with pytest.raises(ValueError):
-        default_precision()
+def test_default_precision_ignores_env(monkeypatch):
+    # calls not given a precision run at 128 bits whatever the environment
+    # holds; q_pochhammer has no precision argument, so its explicit run
+    # carries 128 bits on HPReal arguments
+    c17 = make_context(17)
+    s = cyclo_from_phases([Fraction(1, 5), Fraction(2, 7)], [1, -2])
+
+    def values(prec):
+        z, q = (0.3, 0.5) if prec is None else (
+            HPReal(mp.mpf(0.3), prec), HPReal(mp.mpf(0.5), prec))
+        qc = q_constants(c17, prec)
+        return [bessel_i1(Fraction(7, 3), prec), lambda_k(c17, 6, "plain", prec),
+                cyclo_to_complex(s, prec), qc.q_r, qc.q_s, qc.q_big,
+                q_pochhammer(z, q, 40)]
+
+    explicit = values(128)
+    for raw in ("40", "256", "junk"):
+        monkeypatch.setenv("LEGPART_PRECISION", raw)
+        for got, want in zip(values(None), explicit, strict=True):
+            assert got.prec == 128, (raw, got)
+            assert got.value == want.value, (raw, got)

@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import math
 import pkgutil
 from fractions import Fraction
 
@@ -60,18 +61,33 @@ def test_make_context_rejects_bad_p():
 
 
 def test_context_invariants():
-    for p in (5, 13, 17, 29, 37, 41):
-        ctx = make_context(p)
-        assert len(ctx.r_set) == len(ctx.s_set) == (p - 1) // 4
-        assert sorted(ctx.r_set + ctx.s_set) == list(range(1, ctx.q + 1))
+    # make_context reads chi, epsilon and chi_cumsum off one discrete-log
+    # walk; the literal routes are the oracles here: Euler's criterion, the
+    # half factorial against i_unit, and a running sum.  Every prime
+    # p = 1 (mod 4) below 3000, built uncached so the shared memo is not
+    # churned; the O(p^2) multiplicativity check only for p <= 41.
+    for p in range(5, 3000, 4):
+        if any(p % d == 0 for d in range(3, math.isqrt(p) + 1, 2)):
+            continue
+        ctx = make_context.__wrapped__(p)
+        q = ctx.q
+        assert ctx.chi[0] == 0
         for a in range(1, p):
-            for b in range(1, p):
-                assert ctx.chi[a] * ctx.chi[b] == ctx.chi[a * b % p]
+            assert ctx.chi[a] == (1 if pow(a, q, p) == 1 else -1), (p, a)
+        assert len(ctx.r_set) == len(ctx.s_set) == (p - 1) // 4
+        assert sorted(ctx.r_set + ctx.s_set) == list(range(1, q + 1))
         assert ctx.i_unit ** 2 % p == p - 1
-        import math
-        assert math.factorial(ctx.q) % p == (ctx.i_unit if ctx.epsilon == 0
-                                             else p - ctx.i_unit)
+        assert math.factorial(q) % p == (ctx.i_unit if ctx.epsilon == 0
+                                         else p - ctx.i_unit), p
+        run = 0
+        for t in range(p):
+            run += ctx.chi[t]
+            assert ctx.chi_cumsum[t] == run, (p, t)
         assert ctx.kappa_sq == Fraction(2, 3) * (1 - Fraction(1, p))
+        if p <= 41:
+            for a in range(1, p):
+                for b in range(1, p):
+                    assert ctx.chi[a] * ctx.chi[b] == ctx.chi[a * b % p]
 
 
 def test_legendre_examples():

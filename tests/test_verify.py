@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import legpart.cli
@@ -87,6 +88,16 @@ def test_suite_rademacher_quick_rounds_to_the_oracle():
     for c in checks:
         assert c["status"] == "pass", c
         assert c["witness"].startswith("n <= 60 all round to the oracle"), c
+
+
+def test_feq_points_sit_in_their_gcd_class():
+    # each check id's case tag names gcd(k, 2p) of its point, and the
+    # four tags cover the four gcd classes
+    assert set(verify.FEQ_POINTS) == {"2p", "p", "2", "1"}
+    for case, points in verify.FEQ_POINTS.items():
+        for p, _, k, _ in points:
+            tag = {1: "1", 2: "2", p: "p", 2 * p: "2p"}[math.gcd(k, 2 * p)]
+            assert tag == case, (case, p, k)
 
 
 def test_suite_feq_reports_inconclusive_points(monkeypatch):
