@@ -185,8 +185,10 @@ def lambda_k(ctx: PrimeContext, k: int, variant: str = "plain",
         return HPReal(+value, prec)
 
 
-def _chi_class(ctx: PrimeContext, sign: int) -> tuple:
-    """Residues a mod p with chi(a) = sign."""
+def _chi_class(ctx: PrimeContext, variant: str) -> tuple:
+    """Residues a mod p of the class a variant's sum runs over at odd
+    multiples of p: chi(a) = +1 for plain (L+), -1 for dagger (L-dagger)."""
+    sign = 1 if variant == "plain" else -1
     return tuple(a for a in range(1, ctx.p) if ctx.chi[a] == sign)
 
 
@@ -265,7 +267,7 @@ def kloosterman_L_plus(ctx: PrimeContext, K: int, n: int,
     extra inverse twist exp(-2 pi i m (2h)^{-1} / K).  K odd, p | K."""
     _check_ctx(ctx)
     _require_odd_multiple(ctx, K)
-    return _twisted_sum(ctx, "plain", K, n, m, _chi_class(ctx, 1))
+    return _twisted_sum(ctx, "plain", K, n, m, _chi_class(ctx, "plain"))
 
 
 def kloosterman_L_nmd(ctx: PrimeContext, k: int, n: int, m: int, d: int,
@@ -291,7 +293,7 @@ def kloosterman_dagger(ctx: PrimeContext, K: int, n: int,
     variant="dagger")."""
     _check_ctx(ctx)
     _require_odd_multiple(ctx, K)
-    return _twisted_sum(ctx, "dagger", K, n, m, _chi_class(ctx, -1))
+    return _twisted_sum(ctx, "dagger", K, n, m, _chi_class(ctx, "dagger"))
 
 
 def tau_count(ctx: PrimeContext, h: int, K: int, pair: str) -> int:

@@ -87,14 +87,18 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.p_min > args.p_max:
+        raise ValueError(f"--p-min {args.p_min} is above --p-max {args.p_max}")
     sign = 1 if args.sign == "+" else -1
     # the scan of p runs over n from max(2p, 50) to --n-max; check the
-    # largest start before scanning anything
+    # largest prime's context and start before scanning anything
     starts = [(p, max(2 * p, 50)) for p in range(args.p_min, args.p_max + 1)
               if p % 4 == 1 and _is_prime(p)]
-    if starts and args.n_max < starts[-1][1]:
+    if starts:
         p, start = starts[-1]
-        raise ValueError(f"--n-max must be at least {start} to scan p = {p}")
+        make_context(p)
+        if args.n_max < start:
+            raise ValueError(f"--n-max must be at least {start} to scan p = {p}")
     rows = []
     for p, start in starts:
         found = scan_vanishing(make_context(p), sign, 2 * p, start, args.n_max)

@@ -482,19 +482,15 @@ def q_pochhammer_tail(z, q, truncation: int) -> HPReal:
 def _theta_pairs(ctx: PrimeContext, family: str, x):
     """(z, q) arguments of the inverse Pochhammer factors of one family.
 
-    The +-1 families read their _factors table: (sign, first, step) is the
-    pair (sign*x^first, x^step).  T+/T- and U+/U- carry the p-th roots of
-    unity w = exp(2 pi i a/p): (members, sign, y, q) gives the pairs
-    (sign*w*y, q) and (sign*conj(w)*y, q) for each a in members.
+    The +-1 families read their _factors table, of one step M: (sign,
+    first, M) is the pair (sign*x^first, x^M).  T+/T- and U+/U- carry the
+    p-th roots of unity w = exp(2 pi i a/p): (members, sign, y, q) gives
+    the pairs (sign*w*y, q) and (sign*conj(w)*y, q) for each a in members.
     """
-    pairs = []
     if family not in ("T+", "T-", "U+", "U-"):
-        powers = {}
-        for sign, first, step in _factors(ctx, family):
-            if step not in powers:
-                powers[step] = x ** step
-            pairs.append((sign * x ** first, powers[step]))
-        return pairs
+        table = _factors(ctx, family)
+        q = x ** table[0][2]
+        return [(sign * x ** first, q) for sign, first, _ in table]
     if family in ("T+", "T-"):
         sgn = 1 if family == "T+" else -1
         groups = ((ctx.r_set, sgn, x, x), (ctx.s_set, -sgn, x, x))
@@ -503,6 +499,7 @@ def _theta_pairs(ctx: PrimeContext, family: str, x):
         sq_set = ctx.r_set if family == "U+" else ctx.s_set
         lin_set = ctx.s_set if family == "U+" else ctx.r_set
         groups = ((sq_set, 1, x2, x2), (lin_set, 1, x, x2))
+    pairs = []
     for members, sign, y, q in groups:
         for a in members:
             w = mp.expjpi(mp.mpf(2 * a) / ctx.p)
@@ -511,14 +508,25 @@ def _theta_pairs(ctx: PrimeContext, family: str, x):
     return pairs
 
 
-def _theta_product(ctx: PrimeContext, family: str, x, truncation: int,
-                   twin: bool) -> tuple:
-    """Numeric product of inverse Pochhammers, with twin also that of the
-    family whose every z is negated (else 1), plus the summed tail bound
-    both share, each term at the mp precision its product runs at."""
+# The twin of each base family has the base's (z, q) pairs, in order, with
+# every z negated; the tests pin both pair lists against literal ones.
+_TWINS = {"Phi": "PhiDagger", "R+": "R-", "T+": "T-", "F_r": "G_r",
+          "F_s": "G_s"}
+_BASE = {t: b for b, t in _TWINS.items()}
+
+
+# One memo for all 14 families.  A base family's entry holds its twin too,
+# so one FEQ point, plain then dagger at the same x, reads it twice.
+@lru_cache(maxsize=64)
+def _theta_product(ctx: PrimeContext, family: str, x: tuple, truncation: int,
+                   prec: int) -> tuple:
+    """Numeric product of inverse Pochhammers at x = make_mpc(x), with that
+    of its twin for a base family of _TWINS (else 1), plus the summed tail
+    bound both share, all at prec, the mp precision it is memoised under."""
+    twin = family in _TWINS
     value = twin_value = mp.mpc(1)
     tail = mp.mpf(0)
-    for z, q in _theta_pairs(ctx, family, x):
+    for z, q in _theta_pairs(ctx, family, mp.make_mpc(x)):
         part, twin_part = _poch_partial(z, q, truncation, twin)
         value /= part
         if twin:
@@ -527,31 +535,11 @@ def _theta_product(ctx: PrimeContext, family: str, x, truncation: int,
     return value, twin_value, tail
 
 
-# The twin of each base family has the base's (z, q) pairs, in order, with
-# every z negated; the tests pin both pair lists against literal ones.
-_TWINS = {"Phi": "PhiDagger", "R+": "R-", "T+": "T-", "F_r": "G_r",
-          "F_s": "G_s"}
-_BASE = {**{b: b for b in _TWINS}, **{t: b for b, t in _TWINS.items()}}
-
-
-# One FEQ point reads each entry twice: plain and dagger at the same x.
-@lru_cache(maxsize=64)
-def _twin_products(ctx: PrimeContext, base: str, x: tuple, truncation: int,
-                   prec: int) -> tuple:
-    """_theta_product of a base family and its twin at x = make_mpc(x),
-    memoised per precision, the mp state it runs at."""
-    return _theta_product(ctx, base, mp.make_mpc(x), truncation, True)
-
-
 def _theta_value(ctx: PrimeContext, family: str, x, truncation: int):
     """Numeric product of inverse Pochhammers plus a summed tail bound."""
-    base = _BASE.get(family)
-    if base is None:
-        value, _, tail = _theta_product(ctx, family, x, truncation, False)
-        return value, tail
-    value, twin_value, tail = _twin_products(ctx, base, x._mpc_, truncation,
-                                             mp.prec)
-    return (value if family == base else twin_value), tail
+    base = _BASE.get(family, family)
+    value, twin, tail = _theta_product(ctx, base, x._mpc_, truncation, mp.prec)
+    return (value if family == base else twin), tail
 
 
 def theta_products(ctx: PrimeContext, family: str, x,
@@ -718,19 +706,18 @@ def _root_table(k: int, bits: int) -> tuple:
 
 
 @lru_cache(maxsize=2048)
-def _phase_vector(p: int, k: int, variant: str, m: int, cls: int | None,
-                  wp: int) -> tuple:
+def _phase_vector(p: int, k: int, variant: str, m: int, wp: int) -> tuple:
     """The n-free part of one twisted sum at modulus k, in fixed point.
 
-    Returns (bits, hs, re, im, sums): the units h mod k whose character
-    class chi(h) is cls (every unit when cls is None), and z_h = exp(i pi
+    Returns (bits, hs, re, im, sums): the units h mod k (where p | k, those
+    in the class charsums._chi_class reads off variant), and z_h = exp(i pi
     phase) scaled by 2^bits, for the (h, phase) of charsums._twisted_phases.
     bits = wp + 16 + bitlen(len(hs)), the guard cyclo_to_complex adds for
     a sum of that many terms.  sums maps each residue r = -n mod k that
     _numeric_sum has met to its exact integer: at most k slots, which live
     and die with this bounded entry, and none for residues never asked.
     """
-    residues = None if cls is None else _chi_class(make_context(p), cls)
+    residues = None if k % p else _chi_class(make_context(p), variant)
     den, pairs = _twisted_phases(p, variant, k, m, residues)
     bits = wp + 16 + len(pairs).bit_length()
     gs = [math.gcd(num, den) for _, num in pairs]
@@ -741,7 +728,7 @@ def _phase_vector(p: int, k: int, variant: str, m: int, cls: int | None,
 
 
 def _numeric_sum(ctx: PrimeContext, k: int, n: int, m: int, variant: str,
-                 cls: int | None, wp: int) -> tuple:
+                 wp: int) -> tuple:
     """Numeric sum over the units h of _phase_vector of z_h * omega^(-n h),
     as a raw mpf at wp bits.
 
@@ -754,7 +741,7 @@ def _numeric_sum(ctx: PrimeContext, k: int, n: int, m: int, variant: str,
     gives the exact sum, which the tests compare against.  n enters only
     through r = -n mod k, so the integer is kept in the vector's slot r.
     """
-    bits, hs, zre, zim, sums = _phase_vector(ctx.p, k, variant, m, cls, wp)
+    bits, hs, zre, zim, sums = _phase_vector(ctx.p, k, variant, m, wp)
     r = -n % k
     re = sums.get(r)
     if re is None:
@@ -827,17 +814,16 @@ def _series_terms(ctx: PrimeContext, variant: str, n: int, k_max: int,
         for j in mods:
             piece = mpf_add(piece, mul(
                 _weight(p, j % (2 * p), variant, wp),
-                _numeric_sum(ctx, j, n, 0, variant, None, wp)), wp, "n")
+                _numeric_sum(ctx, j, n, 0, variant, wp)), wp, "n")
         yield mul(div(mul(prefac, piece), d), _bessel_i1_mpf(div(ks, d), wp))
-    # odd multiples K of p: L_plus (plain) or L_dagger_minus (dagger), one
-    # character class, for each m with sigma_m != 0
-    cls = 1 if variant == "plain" else -1
+    # odd multiples K of p: L_plus (plain) or L_dagger_minus (dagger), each
+    # over its own character class, for each m with sigma_m != 0
     ms = [(m, mul(mpf_mul_int(twopi, sig[m], wp, "n"), scm),
            mul(mul(twopi, scm), sqrt_nt)) for m, scm in enumerate(scms) if sig[m]]
     for K in range(p, k_max + 1, 2 * p):
         for m, coef, arg in ms:
             yield mul(mul(mpf_div(div(coef, 2 * K), sqrt_nt, wp, "n"),
-                          _numeric_sum(ctx, K, n, m, variant, cls, wp)),
+                          _numeric_sum(ctx, K, n, m, variant, wp)),
                       _bessel_i1_mpf(div(arg, K), wp))
 
 

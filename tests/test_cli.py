@@ -197,6 +197,22 @@ def test_scan_n_max_below_start(capsys):
     assert (rc, out) == (0, "p,vanishing_residues_mod_2p\n")
 
 
+def test_scan_checks_its_prime_range_first(capsys, monkeypatch):
+    # a reversed range names both flags, and the largest prime goes through
+    # make_context, which refuses p above 10^6, before any table is built
+    def no_table(*args):
+        raise AssertionError(f"scanned {args}")
+
+    monkeypatch.setattr(cli, "scan_vanishing", no_table)
+    for flags, err in (
+            (("41", "5", "5000"), "--p-min 41 is above --p-max 5"),
+            (("999953", "1000037", "2000074"),
+             "p too large for trial-division primality checking")):
+        rc = main(["scan", "--p-min", flags[0], "--p-max", flags[1],
+                   "--sign", "+", "--n-max", flags[2]])
+        assert (rc, *capsys.readouterr()) == (2, "", f"error: {err}\n")
+
+
 def test_verify_quick_report(tmp_path, capsys):
     report = tmp_path / "report.json"
     rc, out = run_main(["verify", "--suite", "tau", "--scale", "quick",

@@ -29,7 +29,7 @@ from legpart.series import (THETA_FAMILIES, InconclusiveError,
                             _fixed_cis, _jacobi_terms, _mpf_add,
                             _numeric_sum, _phase_vector, _poch_partial,
                             _poch_tail_bound, _root_table, _series_terms,
-                            _theta_pairs, _theta_quotient, _twin_products,
+                            _theta_pairs, _theta_product, _theta_quotient,
                             c_sequence, oracle_table, q_pochhammer,
                             q_pochhammer_tail, rademacher_eval,
                             scan_vanishing, sigma_coeffs, theta_products,
@@ -683,7 +683,7 @@ def test_poch_kernel_matches_literal_loop_on_feq_chains(monkeypatch):
 
     theta_value = series._theta_value
     monkeypatch.setattr(series, "_theta_value", recorded)
-    _twin_products.cache_clear()
+    _theta_product.cache_clear()
     for points in verify.FEQ_POINTS.values():
         for p, h, k, z in points:
             if p == 17:
@@ -706,7 +706,7 @@ def test_poch_stop_fires_where_pinned():
     # the full feq suite's _mpf_add count (435,520 without the stop), and
     # the stop step of fixed chains: z q^s = 2^-(2s+1) has t = -2s, first
     # below -(176 + 5) at s = 91, and a part of q at 1/2 never stops
-    _twin_products.cache_clear()
+    _theta_product.cache_clear()
     assert _mpf_add_calls(lambda: verify.suite_feq("full")) == 145_245
     with mp.workprec(176):
         assert _poch_steps(mp.mpc("0.5"), mp.mpc("0.25"), 200) == 91
@@ -772,7 +772,8 @@ def test_mpf_add_matches_libmpf():
 def test_theta_products_match_literal_product(p):
     # all 14 families bit for bit against the literal pair lists, with each
     # twin family asked for first and second from a cleared memo, and each x
-    # at two precisions: the same x._mpc_ must not share a memo entry
+    # at two precisions: the same x._mpc_ must not share a memo entry.  A
+    # second pass over all 14 only hits
     ctx = make_context(p)
     xs = (mp.mpc("0.3", "0.2"), mp.mpf("0.41") * mp.expjpi(mp.mpf(2) / 7))
     want = {}
@@ -786,15 +787,23 @@ def test_theta_products_match_literal_product(p):
                     with mp.workprec(prec):
                         want[prec, i, family] = (+value)._mpc_
     for order in (THETA_FAMILIES, THETA_FAMILIES[::-1]):
-        _twin_products.cache_clear()
+        _theta_product.cache_clear()
         for prec in (96, 160):
             for i, xv in enumerate(xs):
                 for family in order:
                     got = theta_products(ctx, family, HPComplex(xv, prec), 30)
                     assert got.value._mpc_ == want[prec, i, family], (
                         prec, i, family)
-        # the five base families, at two x and two precisions
-        assert _twin_products.cache_info().misses == 20
+        # the five base families and S+-, U+-, at two x and two precisions
+        assert _theta_product.cache_info().misses == 36
+        for prec in (96, 160):
+            for i, xv in enumerate(xs):
+                for family in order:
+                    got = theta_products(ctx, family, HPComplex(xv, prec), 30)
+                    assert got.value._mpc_ == want[prec, i, family], (
+                        prec, i, family)
+        info = _theta_product.cache_info()
+        assert (info.misses, info.hits) == (36, 20 + 56)
 
 
 def test_non_finite_arguments_raise():
@@ -922,8 +931,8 @@ FEQ_PINS = [
 def test_feq_suite_pinned_residuals(monkeypatch):
     # one full-scale feq suite from a cleared memo, plain then dagger at each
     # of the 12 points: the mirrored products (Phi/PhiDagger at x, R+-/T+-
-    # at x~ in cases 2p and 2) miss once and hit once; S+- and U+- run
-    # outside the memo
+    # at x~ in cases 2p and 2) miss once and hit once; S+- and U+- (cases p
+    # and 1) share the memo, and miss once each
     residuals = []
 
     def recorded(*args, **kwargs):
@@ -932,10 +941,10 @@ def test_feq_suite_pinned_residuals(monkeypatch):
         return r
 
     monkeypatch.setattr(verify, "verify_functional_equation", recorded)
-    _twin_products.cache_clear()
+    _theta_product.cache_clear()
     checks = verify.suite_feq("full")
-    info = _twin_products.cache_info()
-    assert (info.misses, info.hits) == (18, 18)
+    info = _theta_product.cache_info()
+    assert (info.misses, info.hits) == (30, 18)
     want_checks, want_residuals = [], []
     for case, p, h, k, z, *pins in FEQ_PINS:
         for variant, (mpf, r) in zip(("plain", "dagger"), pins):
@@ -1155,21 +1164,21 @@ def test_numeric_sums_match_exact_sums():
             if k % p == 0:
                 continue
             for n in range(k):
-                cases.append((k, n, 0, "plain", None,
+                cases.append((k, n, 0, "plain",
                               kloosterman_L(ctx, k, n, "plain")))
-                cases.append((k, n, 0, "dagger", None,
+                cases.append((k, n, 0, "dagger",
                               kloosterman_L(ctx, k, n, "dagger")))
         for K in (p, 3 * p):
             for m in range(len(cms)):
                 if sig[m] == 0:
                     continue
                 for n in range(K):
-                    cases.append((K, n, m, "plain", 1,
+                    cases.append((K, n, m, "plain",
                                   kloosterman_L_plus(ctx, K, n, m)))
-                    cases.append((K, n, m, "dagger", -1,
+                    cases.append((K, n, m, "dagger",
                                   kloosterman_dagger(ctx, K, n, m)))
-        for k, n, m, variant, cls, exact in cases:
-            got = mp.make_mpf(_numeric_sum(ctx, k, n, m, variant, cls, wp))
+        for k, n, m, variant, exact in cases:
+            got = mp.make_mpf(_numeric_sum(ctx, k, n, m, variant, wp))
             want = cyclo_to_complex(exact, wp).value
             with mp.workprec(wp):
                 assert abs(got - want) <= tol_abs + tol_rel * abs(want), \
@@ -1192,16 +1201,16 @@ def test_numeric_sums_are_real():
         p = ctx.p
         cms = c_sequence(ctx)
         sig = sigma_coeffs(ctx, 1, len(cms) - 1)
-        cases = [(k, 0, variant, None) for k in range(1, 40) if k % p
+        cases = [(k, 0, variant) for k in range(1, 40) if k % p
                  for variant in ("plain", "dagger")]
-        cases += [(K, m, variant, cls) for K in (p, 3 * p, 5 * p)
+        cases += [(K, m, variant) for K in (p, 3 * p, 5 * p)
                   for m in range(len(cms)) if sig[m]
-                  for variant, cls in (("plain", 1), ("dagger", -1))]
-        for k, m, variant, cls in cases:
-            residues = None if cls is None else _chi_class(ctx, cls)
+                  for variant in ("plain", "dagger")]
+        for k, m, variant in cases:
+            residues = None if k % p else _chi_class(ctx, variant)
             den, pairs = _twisted_phases(p, variant, k, m, residues)
             phases = {h: Fraction(num, den) for h, num in pairs}
-            bits, hs, zre, zim, sums = _phase_vector(p, k, variant, m, cls, wp)
+            bits, hs, zre, zim, sums = _phase_vector(p, k, variant, m, wp)
             assert list(hs) == list(phases)
             at = {h: i for i, h in enumerate(hs)}
             for i, h in enumerate(hs):
@@ -1217,7 +1226,7 @@ def test_numeric_sums_are_real():
                          for j, a, b in zip(js, zre, zim))
                 im = sum(a * cim[j] + b * cre[j]
                          for j, a, b in zip(js, zre, zim))
-                got = _numeric_sum(ctx, k, n, m, variant, cls, wp)
+                got = _numeric_sum(ctx, k, n, m, variant, wp)
                 # a real mpf (sign, man, exp, bc), not a complex pair
                 assert got == from_man_exp(re, -2 * bits, wp, "n")
                 assert sums[-n % k] == re
@@ -1227,10 +1236,10 @@ def test_numeric_sums_are_real():
             assert sorted(sums) == list(range(k))
 
 
-def _uncached_sum(p, k, r, m, variant, cls, wp):
+def _uncached_sum(p, k, r, m, variant, wp):
     """The exact integer of _numeric_sum at residue r = -n mod k, from a
     freshly built phase vector and root table, no memo read."""
-    bits, hs, zre, zim, _ = _phase_vector.__wrapped__(p, k, variant, m, cls, wp)
+    bits, hs, zre, zim, _ = _phase_vector.__wrapped__(p, k, variant, m, wp)
     M = k if k % 2 == 0 else 2 * k
     cre, cim = _root_table.__wrapped__(M, bits)
     js = [r * (M // k) * h % M for h in hs]
@@ -1241,29 +1250,30 @@ def test_residue_slots_match_uncached_sums():
     # each slot of _phase_vector holds the sum of one residue r = -n mod k:
     # filled in a seeded order from a cold cache, then read back warm, every
     # slot and every returned mpf equals the uncached sum, at p = 17 for k
-    # prime to p (m = 0, every unit) and K = 51 (each m with sigma_m != 0,
-    # in the class each variant sums over), both variants
+    # prime to p (m = 0, every unit), k = 34 and 51 at m = 0 and K = 51 at
+    # each m with sigma_m != 0 (in the class each variant sums over), both
+    # variants
     wp = 160
     sig = sigma_coeffs(C17, 1, len(c_sequence(C17)) - 1)
-    cases = [(k, 0, variant, None) for k in (1, 2, 4, 7, 34, 51, 60)
+    cases = [(k, 0, variant) for k in (1, 2, 4, 7, 34, 51, 60)
              for variant in ("plain", "dagger")]
-    cases += [(51, m, variant, cls) for m in range(len(sig)) if sig[m]
-              for variant, cls in (("plain", 1), ("dagger", -1))]
+    cases += [(51, m, variant) for m in range(len(sig)) if sig[m]
+              for variant in ("plain", "dagger")]
     want = {case: [_uncached_sum(17, case[0], r, *case[1:], wp)
                    for r in range(case[0])] for case in cases}
     rng = random.Random(34)
     _phase_vector.cache_clear()
     for warm in (False, True):
         for case in cases:
-            k, m, variant, cls = case
+            k, m, variant = case
             order = list(range(k))
             rng.shuffle(order)
             for r in order:
                 bits, re = want[case][r]
                 n = rng.randrange(1, 400) * k - r
-                got = _numeric_sum(C17, k, n, m, variant, cls, wp)
+                got = _numeric_sum(C17, k, n, m, variant, wp)
                 assert got == from_man_exp(re, -2 * bits, wp, "n"), (case, r)
-            sums = _phase_vector(17, k, variant, m, cls, wp)[4]
+            sums = _phase_vector(17, k, variant, m, wp)[4]
             assert sums == dict(enumerate(re for _, re in want[case])), case
 
 
@@ -1374,15 +1384,15 @@ def test_phase_vectors_and_root_tables_match_literal_rebuild():
         p = ctx.p
         cms = c_sequence(ctx)
         sig = sigma_coeffs(ctx, 1, len(cms) - 1)
-        cases += [(ctx, k, variant, 0, None) for k in range(1, 61) if k % p
+        cases += [(ctx, k, variant, 0) for k in range(1, 61) if k % p
                   for variant in ("plain", "dagger")]
-        cases += [(ctx, K, variant, m, cls) for K in (p, 3 * p)
+        cases += [(ctx, K, variant, m) for K in (p, 3 * p)
                   for m in range(len(cms)) if sig[m]
-                  for variant, cls in (("plain", 1), ("dagger", -1))]
+                  for variant in ("plain", "dagger")]
     _fixed_cis.cache_clear()
     keys = set()
-    for ctx, k, variant, m, cls in cases:
-        residues = None if cls is None else _chi_class(ctx, cls)
+    for ctx, k, variant, m in cases:
+        residues = None if k % ctx.p else _chi_class(ctx, variant)
         den, pairs = _twisted_phases(ctx.p, variant, k, m, residues)
         phases = [Fraction(num, den) for _, num in pairs]
         bits = wp + 16 + len(pairs).bit_length()
@@ -1390,7 +1400,7 @@ def test_phase_vectors_and_root_tables_match_literal_rebuild():
                for ph in phases]
         want = (bits, tuple(h for h, _ in pairs), tuple(c for c, _ in cis),
                 tuple(s for _, s in cis), {})
-        got = _phase_vector.__wrapped__(ctx.p, k, variant, m, cls, wp)
+        got = _phase_vector.__wrapped__(ctx.p, k, variant, m, wp)
         assert got == want, (ctx.p, k, variant, m)
         M = k if k % 2 == 0 else 2 * k
         low = [_literal_cis(2 * j, M, bits) for j in range(M // 2 + 1)]
@@ -1405,7 +1415,7 @@ def test_phase_vectors_and_root_tables_match_literal_rebuild():
 # Every cache cache_stats() reports, in the column order of OCCUPANCY.
 CACHES = ("series._phase_vector", "series._root_table", "series._weight",
           "charsums._lambda_parts", "dedekind._chi_table", "series._fixed_cis",
-          "series._twin_products", "context.make_context",
+          "series._theta_product", "context.make_context",
           "arith._prime_factors")
 
 
@@ -1428,9 +1438,10 @@ OCCUPANCY = [
      (370, 110, 64, 181, 0, 8161, 0, 1, 2), {}),
     ("series, k_max = 222", lambda: _series_load(222),
      (548, 163, 64, 267, 0, 17859, 0, 1, 2), {}),
-    # each FEQ point reads its twin products twice, plain and dagger
+    # each FEQ point reads its twin products twice, plain and dagger; S+-
+    # and U+- add one entry each, and no hit
     ("feq suite, full", lambda: verify.suite_feq("full"),
-     (0, 0, 0, 12, 0, 0, 18, 3, 6), {"series._twin_products": 18}),
+     (0, 0, 0, 12, 0, 0, 30, 3, 6), {"series._theta_product": 18}),
     # the chi table's memo serves the sums that read it for every h
     ("s_chi and t_chi at k = 40", _chi_load,
      (0, 0, 0, 0, 1, 0, 0, 0, 0), {"dedekind._chi_table": 1}),
@@ -1468,12 +1479,12 @@ def test_series_path_caches_are_bounded():
     # live in its entries, so its bound holds them too: one slot per residue
     # asked, and a cleared entry takes its slots with it
     _phase_vector.cache_clear()
-    sums = _phase_vector(17, 7, "plain", 0, None, 96)[4]
+    sums = _phase_vector(17, 7, "plain", 0, 96)[4]
     for n in (3, 10, 4):
-        _numeric_sum(C17, 7, n, 0, "plain", None, 96)
+        _numeric_sum(C17, 7, n, 0, "plain", 96)
     assert sorted(sums) == [3, 4]
     _phase_vector.cache_clear()
-    assert _phase_vector(17, 7, "plain", 0, None, 96)[4] == {}
+    assert _phase_vector(17, 7, "plain", 0, 96)[4] == {}
 
 
 def test_cache_stats_covers_every_lru_cache():
@@ -1504,3 +1515,33 @@ def test_cache_stats_covers_every_lru_cache():
                        name).cache_info()
         assert got == {"size": info.currsize, "maxsize": info.maxsize,
                        "hits": info.hits, "misses": info.misses}, key
+
+
+def _unread_parameters() -> set:
+    """module.function.parameter for each parameter of a function or lambda
+    in legpart's source that its body never reads."""
+    unread = set()
+    for info in pkgutil.iter_modules(legpart.__path__):
+        mod = importlib.import_module(f"legpart.{info.name}")
+        for node in ast.walk(ast.parse(inspect.getsource(mod))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            a = node.args
+            params = [arg.arg for arg in (*a.posonlyargs, *a.args,
+                                          *a.kwonlyargs, a.vararg, a.kwarg)
+                      if arg]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", f"<lambda@{node.lineno}>")
+            unread |= {f"{info.name}.{name}.{p}" for p in params
+                       if p not in read}
+    return unread
+
+
+def test_no_function_reads_less_than_it_takes():
+    # no option is accepted and then ignored: the one parameter no body
+    # reads is _theta_product's prec, a memo key for the mp precision its
+    # products run at
+    assert _unread_parameters() == {"series._theta_product.prec"}
