@@ -14,55 +14,12 @@ and the exact vanishing of the Kloosterman-type coefficient sums that force
 c(n) = 0 on arithmetic progressions.
 """
 
-from .arith import (
-    CyclotomicSum,
-    HPComplex,
-    HPReal,
-    OrderCapError,
-    bessel_i1,
-    cyclo_add,
-    cyclo_from_phases,
-    cyclo_is_zero,
-    cyclo_to_complex,
-    sawtooth,
-)
-from .charsums import (
-    check_congruence_mod16,
-    check_congruence_modThK,
-    kloosterman_L,
-    kloosterman_L_nmd,
-    kloosterman_L_plus,
-    kloosterman_dagger,
-    lambda_exponent,
-    lambda_k,
-    tau_count,
-    verify_tau_table,
-)
-from .context import PrimeContext, QConstants, legendre, make_context, q_constants
-from .dedekind import (
-    dedekind_s,
-    dedekind_s_chi,
-    dedekind_s_tilde,
-    dedekind_t,
-    dedekind_t_chi,
-    lattice_floor_sum,
-    verify_reciprocity_chi,
-    verify_reciprocity_classical,
-)
-from .series import (
-    InconclusiveError,
-    RademacherResult,
-    SeriesEvalConfig,
-    SignedPartitionTable,
-    c_sequence,
-    oracle_table,
-    q_pochhammer,
-    rademacher_eval,
-    scan_vanishing,
-    sigma_coeffs,
-    theta_products,
-    verify_functional_equation,
-)
+from . import arith, charsums, context, dedekind, series
+from .arith import *
+from .charsums import *
+from .context import *
+from .dedekind import *
+from .series import *
 
 
 def cache_stats() -> dict:
@@ -86,51 +43,5 @@ def cache_stats() -> dict:
     return stats
 
 
-__all__ = [
-    "CyclotomicSum",
-    "HPComplex",
-    "HPReal",
-    "InconclusiveError",
-    "OrderCapError",
-    "PrimeContext",
-    "QConstants",
-    "RademacherResult",
-    "SeriesEvalConfig",
-    "SignedPartitionTable",
-    "bessel_i1",
-    "c_sequence",
-    "cache_stats",
-    "check_congruence_mod16",
-    "check_congruence_modThK",
-    "cyclo_add",
-    "cyclo_from_phases",
-    "cyclo_is_zero",
-    "cyclo_to_complex",
-    "dedekind_s",
-    "dedekind_s_chi",
-    "dedekind_s_tilde",
-    "dedekind_t",
-    "dedekind_t_chi",
-    "kloosterman_L",
-    "kloosterman_L_nmd",
-    "kloosterman_L_plus",
-    "kloosterman_dagger",
-    "lambda_exponent",
-    "lambda_k",
-    "lattice_floor_sum",
-    "legendre",
-    "make_context",
-    "oracle_table",
-    "q_constants",
-    "q_pochhammer",
-    "rademacher_eval",
-    "sawtooth",
-    "scan_vanishing",
-    "sigma_coeffs",
-    "tau_count",
-    "theta_products",
-    "verify_functional_equation",
-    "verify_reciprocity_chi",
-    "verify_reciprocity_classical",
-    "verify_tau_table",
-]
+__all__ = [*arith.__all__, *context.__all__, *dedekind.__all__,
+           *charsums.__all__, *series.__all__, "cache_stats"]

@@ -90,18 +90,22 @@ def cmd_scan(args) -> int:
     if args.p_min > args.p_max:
         raise ValueError(f"--p-min {args.p_min} is above --p-max {args.p_max}")
     sign = 1 if args.sign == "+" else -1
-    # the scan of p runs over n from max(2p, 50) to --n-max; check the
-    # largest prime's context and start before scanning anything
-    starts = [(p, max(2 * p, 50)) for p in range(args.p_min, args.p_max + 1)
-              if p % 4 == 1 and _is_prime(p)]
-    if starts:
-        p, start = starts[-1]
-        make_context(p)
-        if args.n_max < start:
-            raise ValueError(f"--n-max must be at least {start} to scan p = {p}")
+    # the scan of p runs over n from max(2p, 50) to --n-max; the largest
+    # prime, found walking down from --p-max, has its context and start
+    # checked before the rest are listed or anything is scanned
+    primes = (p for p in range(args.p_max, args.p_min - 1, -1)
+              if p % 4 == 1 and _is_prime(p))
+    top = next(primes, None)
+    if top is None:
+        return _emit(args.out, format_scan_csv([]))
+    make_context(top)
+    start = max(2 * top, 50)
+    if args.n_max < start:
+        raise ValueError(f"--n-max must be at least {start} to scan p = {top}")
     rows = []
-    for p, start in starts:
-        found = scan_vanishing(make_context(p), sign, 2 * p, start, args.n_max)
+    for p in reversed([top, *primes]):
+        found = scan_vanishing(make_context(p), sign, 2 * p, max(2 * p, 50),
+                               args.n_max)
         rows.append((p, sorted(found)))
     return _emit(args.out, format_scan_csv(rows))
 

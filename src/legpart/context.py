@@ -95,7 +95,8 @@ def make_context(p: int) -> PrimeContext:
     if not isinstance(p, int) or isinstance(p, bool):
         raise TypeError("p must be an int")
     if p > 10 ** 6:
-        raise ValueError("p too large for trial-division primality checking")
+        raise ValueError(f"p = {p} is above 10^6, too large for trial-division "
+                         "primality checking")
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if p % 4 != 1:

@@ -39,6 +39,22 @@ from .charsums import (VARIANTS, _chi_class, _twisted_phases, lambda_exponent,
                        lambda_k)
 from .context import PrimeContext, _check_ctx, make_context
 
+__all__ = [
+    "InconclusiveError",
+    "SignedPartitionTable",
+    "SeriesEvalConfig",
+    "RademacherResult",
+    "oracle_table",
+    "scan_vanishing",
+    "sigma_coeffs",
+    "q_pochhammer",
+    "q_pochhammer_tail",
+    "theta_products",
+    "verify_functional_equation",
+    "c_sequence",
+    "rademacher_eval",
+]
+
 _SIGNS = (1, -1)
 
 THETA_FAMILIES = ("R+", "R-", "S+", "S-", "T+", "T-", "U+", "U-",
@@ -522,16 +538,17 @@ def _theta_product(ctx: PrimeContext, family: str, x: tuple, truncation: int,
                    prec: int) -> tuple:
     """Numeric product of inverse Pochhammers at x = make_mpc(x), with that
     of its twin for a base family of _TWINS (else 1), plus the summed tail
-    bound both share, all at prec, the mp precision it is memoised under."""
+    bound both share, all run at mp precision prec, which keys the memo."""
     twin = family in _TWINS
-    value = twin_value = mp.mpc(1)
-    tail = mp.mpf(0)
-    for z, q in _theta_pairs(ctx, family, mp.make_mpc(x)):
-        part, twin_part = _poch_partial(z, q, truncation, twin)
-        value /= part
-        if twin:
-            twin_value /= twin_part
-        tail += _poch_tail_bound(z, q, truncation)
+    with mp.workprec(prec):
+        value = twin_value = mp.mpc(1)
+        tail = mp.mpf(0)
+        for z, q in _theta_pairs(ctx, family, mp.make_mpc(x)):
+            part, twin_part = _poch_partial(z, q, truncation, twin)
+            value /= part
+            if twin:
+                twin_value /= twin_part
+            tail += _poch_tail_bound(z, q, truncation)
     return value, twin_value, tail
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import legpart.cli as cli
 from legpart.cli import format_oracle_csv, format_oracle_json, main
-from legpart.context import make_context
+from legpart.context import _is_prime, make_context
 from legpart.series import oracle_table
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -198,19 +198,32 @@ def test_scan_n_max_below_start(capsys):
 
 
 def test_scan_checks_its_prime_range_first(capsys, monkeypatch):
-    # a reversed range names both flags, and the largest prime goes through
-    # make_context, which refuses p above 10^6, before any table is built
+    # a reversed range names both flags, and the largest prime, found
+    # walking down from --p-max, goes through make_context, which refuses
+    # p above 10^6 and names it, before the rest of the range is tested
+    # for primality or any table is built
     def no_table(*args):
         raise AssertionError(f"scanned {args}")
 
+    tested = []
+
+    def is_prime(n):
+        tested.append(n)
+        return _is_prime(n)
+
     monkeypatch.setattr(cli, "scan_vanishing", no_table)
-    for flags, err in (
-            (("41", "5", "5000"), "--p-min 41 is above --p-max 5"),
-            (("999953", "1000037", "2000074"),
-             "p too large for trial-division primality checking")):
+    monkeypatch.setattr(cli, "_is_prime", is_prime)
+    too_large = ("p = 1000037 is above 10^6, too large for trial-division "
+                 "primality checking")
+    for flags, err, want in (
+            (("41", "5", "5000"), "--p-min 41 is above --p-max 5", []),
+            (("999953", "1000037", "2000074"), too_large, [1000037]),
+            (("5", "1000037", "2000074"), too_large, [1000037])):
+        tested.clear()
         rc = main(["scan", "--p-min", flags[0], "--p-max", flags[1],
                    "--sign", "+", "--n-max", flags[2]])
         assert (rc, *capsys.readouterr()) == (2, "", f"error: {err}\n")
+        assert tested == want, flags
 
 
 def test_verify_quick_report(tmp_path, capsys):

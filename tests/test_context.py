@@ -274,15 +274,48 @@ def test_public_entry_points_reject_a_non_context(ctx):
             fn(ctx, *args)
 
 
+# the package's exports before they were read off the module lists
+_EARLIER_EXPORTS = """
+    CyclotomicSum HPComplex HPReal InconclusiveError OrderCapError
+    PrimeContext QConstants RademacherResult SeriesEvalConfig
+    SignedPartitionTable bessel_i1 c_sequence cache_stats
+    check_congruence_mod16 check_congruence_modThK cyclo_add
+    cyclo_from_phases cyclo_is_zero cyclo_to_complex dedekind_s
+    dedekind_s_chi dedekind_s_tilde dedekind_t dedekind_t_chi kloosterman_L
+    kloosterman_L_nmd kloosterman_L_plus kloosterman_dagger lambda_exponent
+    lambda_k lattice_floor_sum legendre make_context oracle_table
+    q_constants q_pochhammer rademacher_eval sawtooth scan_vanishing
+    sigma_coeffs tau_count theta_products verify_functional_equation
+    verify_reciprocity_chi verify_reciprocity_classical verify_tau_table
+""".split()
+
+
 def test_every_exported_name_resolves():
-    # a name left in __all__ after its object is gone breaks
-    # `from legpart.<module> import *`, though nothing else reads __all__
-    mods = [legpart] + [importlib.import_module(f"legpart.{info.name}")
-                        for info in pkgutil.iter_modules(legpart.__path__)]
-    exporting = [mod for mod in mods if hasattr(mod, "__all__")]
-    assert {"legpart", "legpart.arith", "legpart.charsums",
-            "legpart.context", "legpart.dedekind"} <= {
-                mod.__name__ for mod in exporting}
-    for mod in exporting:
+    # each library module's __all__ is the one declaration of its public
+    # names: every public function or class it defines is listed, every
+    # listed name resolves, and the package exports the lists end to end
+    # plus cache_stats.  verify and cli declare none and are not exported.
+    lib = [importlib.import_module(f"legpart.{name}")
+           for name in ("arith", "context", "dedekind", "charsums", "series")]
+    for mod in lib:
+        public = {name for name, obj in vars(mod).items()
+                  if not name.startswith("_")
+                  and (inspect.isclass(obj)
+                       or inspect.isfunction(inspect.unwrap(obj)))
+                  and obj.__module__ == mod.__name__}
+        assert public <= set(mod.__all__), (mod.__name__,
+                                             public - set(mod.__all__))
         for name in mod.__all__:
-            assert hasattr(mod, name), (mod.__name__, name)
+            assert getattr(legpart, name) is getattr(mod, name), (
+                mod.__name__, name)
+    for name in ("verify", "cli"):
+        assert not hasattr(importlib.import_module(f"legpart.{name}"),
+                           "__all__")
+    exported = [name for mod in lib for name in mod.__all__]
+    assert legpart.__all__ == [*exported, "cache_stats"]
+    assert len(set(legpart.__all__)) == len(legpart.__all__) == 55
+    assert set(_EARLIER_EXPORTS) <= set(legpart.__all__)
+    assert len(_EARLIER_EXPORTS) == 46
+    star = {}
+    exec("from legpart import *", star)
+    assert set(star) - {"__builtins__"} == set(legpart.__all__)

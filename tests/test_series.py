@@ -1541,7 +1541,5 @@ def _unread_parameters() -> set:
 
 
 def test_no_function_reads_less_than_it_takes():
-    # no option is accepted and then ignored: the one parameter no body
-    # reads is _theta_product's prec, a memo key for the mp precision its
-    # products run at
-    assert _unread_parameters() == {"series._theta_product.prec"}
+    # no option is accepted and then ignored
+    assert _unread_parameters() == set()
