@@ -16,16 +16,20 @@ built once per modulus k as a fixed-point integer vector, and n enters
 only through -n mod k.  chi(-1) = 1 makes each sum L(k, n) real, so it is
 the real half of one exact integer dot product, kept per residue and
 rounded to an mpf within 2^-(wp+14) of its exact value (see
-_numeric_sum).  The exact cyclotomic sums of charsums are not on this
-path; the tests use them as its oracle.
+_numeric_sum), whose loop takes h and -h in one step.  The exact
+cyclotomic sums of charsums are not on this path; the tests use them as its
+oracle.  Every factor of a term that the sign does not enter, the Bessel
+values above all, is built once per n in a row (_series_row) that the first
+sign to evaluate n hands to the other.
 """
 
 import math
 import operator
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from mpmath import mp
 from mpmath.libmp import (bitcount, from_int, from_man_exp, from_rational,
@@ -767,10 +771,19 @@ def _numeric_sum(ctx: PrimeContext, k: int, n: int, m: int, variant: str,
         M = k if k % 2 == 0 else 2 * k
         cre, cim = _root_table(M, bits)
         t = r * (M // k)
+        # hs is ascending and closed under negation, so -h sits at the
+        # mirrored position, and it reads root M - j, whose parts are
+        # cre[j] and -cim[j]: each pair is one product per table part.  A
+        # unit that is its own negative (k = 1 or 2) reads j = 0 or M/2,
+        # where cim[j] = 0.
+        half = len(hs) // 2
         re = 0
-        for h, a, b in zip(hs, zre, zim):
+        for h, a, b, a2, b2 in zip(hs[:half], zre, zim, reversed(zre),
+                                   reversed(zim)):
             j = t * h % M
-            re += a * cre[j] - b * cim[j]
+            re += cre[j] * (a + a2) - cim[j] * (b - b2)
+        if len(hs) % 2:
+            re += zre[half] * cre[t * hs[half] % M]
         sums[r] = re
     return from_man_exp(re, -2 * bits, wp, "n")
 
@@ -797,16 +810,81 @@ def c_sequence(ctx: PrimeContext) -> list:
     return [c0 - 2 * m for m in range(math.ceil(c0 / 2))]
 
 
-def _series_terms(ctx: PrimeContext, variant: str, n: int, k_max: int,
-                  wp: int):
-    """Yield the terms of the series at n as raw mpfs, in summation order.
+def _mul(a: tuple, b: tuple, wp: int) -> tuple:
+    return mpf_mul(a, b, wp, "n")
 
-    Each is what mpf objects computed, call for call: mpf_mul, mpf_mul_int
-    and mpf_div at wp bits, rounding to nearest, in the same association.
-    The per-n constants (kappa*sqrt(n~), 2*pi, each sqrt(c_m) and their
-    products) are computed once; each is the same call, so no bit moves.
+
+def _div(a: tuple, b: int, wp: int) -> tuple:
+    return mpf_div(a, from_int(b), wp, "n")
+
+
+def _term_moduli(p: int, k_max: int) -> list:
+    """(d, mods) of each term prime to p, in summation order: odd k merged
+    with 2k, over d = 2k, then the multiples of 4, each over d = k."""
+    return ([(2 * k, (k, 2 * k)) for k in range(1, k_max + 1, 2) if k % p]
+            + [(k, (k,)) for k in range(4, k_max + 1, 4) if k % p])
+
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _SignHandoff:
+    """A memo of per-n rows that both signs read, bounded by count.
+
+    A row is built by the first reader that asks for its key and held until
+    a reader of the other sign reads it, which takes it out; a re-read by
+    the sign that built it keeps it.  Past maxsize rows the oldest is
+    dropped.  cache_info and cache_clear are lru_cache's, so cache_stats
+    reports it with the package's other memos, and __wrapped__ is the
+    uncached builder.
     """
-    p = ctx.p
+
+    def __init__(self, build, maxsize: int):
+        self.__wrapped__ = build
+        self.maxsize = maxsize
+        self.cache_clear()
+
+    def __call__(self, *key, reader):
+        entry = self._rows.get(key)
+        if entry is None:
+            self.misses += 1
+            row = self.__wrapped__(*key)
+            if len(self._rows) >= self.maxsize:
+                del self._rows[next(iter(self._rows))]
+            self._rows[key] = (reader, row)
+            return row
+        self.hits += 1
+        if entry[0] != reader:
+            del self._rows[key]
+        return entry[1]
+
+    def cache_info(self):
+        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self._rows))
+
+    def cache_clear(self) -> None:
+        self._rows, self.hits, self.misses = {}, 0, 0
+
+
+# Both signs evaluate each n, so a row waits here for the other sign.  A
+# sweep that shuffles (sign, n) over n <= 130 holds at most about 71 rows
+# at a time; suite_rademacher and acceptance criterion 5, which run one sign
+# over n <= 200 and then the other, hold 200.  A one-sign pass over more n
+# than the bound keeps the last maxsize rows, each O(k_max) mpfs (about
+# 8.6 KiB at k_max = 60).
+@partial(_SignHandoff, maxsize=256)
+def _series_row(p: int, n: int, k_max: int, wp: int) -> tuple:
+    """The factors of the series terms at n that the sign does not enter,
+    as raw mpfs at wp bits: (prefac, bessels, odd).
+
+    prefac = kappa/(2 sqrt(n~)); bessels holds I_1(kappa sqrt(n~)/d) for
+    each (d, mods) of _term_moduli; odd holds (K, m, C_{K,m}, I_1(2 pi
+    sqrt(c_m) sqrt(n~)/K)) for each odd multiple K of p and each m with
+    sigma_m != 0, where C_{K,m} = 2 pi sigma_m sqrt(c_m)/(2K)/sqrt(n~).
+    The per-n constants (kappa*sqrt(n~), 2*pi, each sqrt(c_m) and their
+    products) are computed once, each by the call and association the terms
+    always used, so no bit moves.
+    """
+    ctx = make_context(p)
     cms = c_sequence(ctx)
     sig = sigma_coeffs(ctx, 1, len(cms) - 1)
     with mp.workprec(wp):
@@ -816,32 +894,42 @@ def _series_terms(ctx: PrimeContext, variant: str, n: int, k_max: int,
         twopi = (2 * mp.pi)._mpf_
         sqrt_nt, kappa = sqrt_nt._mpf_, kappa._mpf_
         scms = [mp.sqrt(to_mpf(cm))._mpf_ for cm in cms]
+    ks = _mul(kappa, sqrt_nt, wp)
+    bessels = tuple(_bessel_i1_mpf(_div(ks, d, wp), wp)
+                    for d, _ in _term_moduli(p, k_max))
+    ms = [(m, _mul(mpf_mul_int(twopi, sig[m], wp, "n"), scm, wp),
+           _mul(_mul(twopi, scm, wp), sqrt_nt, wp))
+          for m, scm in enumerate(scms) if sig[m]]
+    odd = tuple((K, m, mpf_div(_div(coef, 2 * K, wp), sqrt_nt, wp, "n"),
+                 _bessel_i1_mpf(_div(arg, K, wp), wp))
+                for K in range(p, k_max + 1, 2 * p) for m, coef, arg in ms)
+    return prefac, bessels, odd
 
-    def mul(a, b):
-        return mpf_mul(a, b, wp, "n")
 
-    def div(a, b: int):
-        return mpf_div(a, from_int(b), wp, "n")
+def _series_terms(ctx: PrimeContext, variant: str, n: int, k_max: int,
+                  wp: int):
+    """Yield the terms of the series at n as raw mpfs, in summation order.
 
-    ks = mul(kappa, sqrt_nt)
-    # odd k prime to p merged with 2k, over 2k; multiples of 4 over k
-    for d, mods in ([(2 * k, (k, 2 * k)) for k in range(1, k_max + 1, 2) if k % p]
-                    + [(k, (k,)) for k in range(4, k_max + 1, 4) if k % p]):
+    Each is what mpf objects computed, call for call: mpf_mul, mpf_mul_int
+    and mpf_div at wp bits, rounding to nearest, in the same association.
+    The factors the sign does not enter come from the row of _series_row,
+    which the other sign at the same n reads too; only the weights and the
+    sums are the variant's.
+    """
+    p = ctx.p
+    prefac, bessels, odd = _series_row(p, n, k_max, wp, reader=variant)
+    for (d, mods), bessel in zip(_term_moduli(p, k_max), bessels):
         piece = fzero
         for j in mods:
-            piece = mpf_add(piece, mul(
+            piece = mpf_add(piece, _mul(
                 _weight(p, j % (2 * p), variant, wp),
-                _numeric_sum(ctx, j, n, 0, variant, wp)), wp, "n")
-        yield mul(div(mul(prefac, piece), d), _bessel_i1_mpf(div(ks, d), wp))
+                _numeric_sum(ctx, j, n, 0, variant, wp), wp), wp, "n")
+        yield _mul(_div(_mul(prefac, piece, wp), d, wp), bessel, wp)
     # odd multiples K of p: L_plus (plain) or L_dagger_minus (dagger), each
     # over its own character class, for each m with sigma_m != 0
-    ms = [(m, mul(mpf_mul_int(twopi, sig[m], wp, "n"), scm),
-           mul(mul(twopi, scm), sqrt_nt)) for m, scm in enumerate(scms) if sig[m]]
-    for K in range(p, k_max + 1, 2 * p):
-        for m, coef, arg in ms:
-            yield mul(mul(mpf_div(div(coef, 2 * K), sqrt_nt, wp, "n"),
-                          _numeric_sum(ctx, K, n, m, variant, wp)),
-                      _bessel_i1_mpf(div(arg, K), wp))
+    for K, m, coef, bessel in odd:
+        yield _mul(_mul(coef, _numeric_sum(ctx, K, n, m, variant, wp), wp),
+                   bessel, wp)
 
 
 def rademacher_eval(ctx: PrimeContext, sign: int, n: int,
@@ -856,7 +944,9 @@ def rademacher_eval(ctx: PrimeContext, sign: int, n: int,
     each is one real sum from the per-modulus fixed-point tables, within
     2^-(wp+14) of its exact value before one rounding to wp bits, kept per
     residue -n mod k.  lambda_k is memoised per (p, k mod 2p, variant,
-    wp).  n~ = n + (p-1)/24 stays rational until the final square root.
+    wp), and the sign-free factors of the terms per n (_series_row), so
+    the two signs at one n share them.  n~ = n + (p-1)/24 stays rational
+    until the final square root.
     The terms (_series_terms) are summed as raw mpf tuples by mpf_add at wp
     bits, bit for bit what mpf objects gave; each Bessel argument is
     already a wp-bit mpf, which arith._bessel_i1_mpf reads as bessel_i1

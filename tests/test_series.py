@@ -28,12 +28,12 @@ from legpart.series import (THETA_FAMILIES, InconclusiveError,
                             RademacherResult, SeriesEvalConfig, _factors,
                             _fixed_cis, _jacobi_terms, _mpf_add,
                             _numeric_sum, _phase_vector, _poch_partial,
-                            _poch_tail_bound, _root_table, _series_terms,
-                            _theta_pairs, _theta_product, _theta_quotient,
-                            c_sequence, oracle_table, q_pochhammer,
-                            q_pochhammer_tail, rademacher_eval,
-                            scan_vanishing, sigma_coeffs, theta_products,
-                            verify_functional_equation)
+                            _poch_tail_bound, _root_table, _series_row,
+                            _series_terms, _term_moduli, _theta_pairs,
+                            _theta_product, _theta_quotient, c_sequence,
+                            oracle_table, q_pochhammer, q_pochhammer_tail,
+                            rademacher_eval, scan_vanishing, sigma_coeffs,
+                            theta_products, verify_functional_equation)
 from legpart import verify
 
 C5 = make_context(5)
@@ -1084,6 +1084,53 @@ def test_rademacher_pinned_sweep():
         "6b85d590f2c88f56653ab951b9c28e1f715061a4ec465c2108b8549531c91fac")
 
 
+def test_series_row_hands_off_between_signs(monkeypatch):
+    # the sign-free factors of the terms at n are built once, by the first
+    # sign that asks, and handed to the other sign, which makes no Bessel
+    # call and takes the row out of the memo; either order gives the raw of
+    # a cold single call, bit for bit
+    calls = []
+    kernel = series._bessel_i1_mpf
+
+    def counted(x, prec):
+        calls.append(x)
+        return kernel(x, prec)
+
+    monkeypatch.setattr(series, "_bessel_i1_mpf", counted)
+    cfg = SeriesEvalConfig(k_max=60, precision=128)
+    # one Bessel value per term: sigma_m != 0 at m = 0 and 2 for p = 17
+    terms = len(_term_moduli(17, 60)) + 2 * len(range(17, 61, 34))
+
+    def raw(sign, n):
+        return rademacher_eval(C17, sign, n, cfg).raw.value._mpf_
+
+    cold = {}
+    for sign in (1, -1):
+        _series_row.cache_clear()
+        cold[sign] = raw(sign, 45)
+        assert _series_row.cache_info().currsize == 1
+    _series_row.cache_clear()
+    calls.clear()
+    assert raw(1, 45) == cold[1]
+    assert len(calls) == terms
+    assert raw(1, 45) == cold[1]     # a same-sign re-read keeps the row
+    assert _series_row.cache_info()[:] == (1, 1, 256, 1)
+    assert raw(-1, 45) == cold[-1]
+    assert len(calls) == terms
+    assert _series_row.cache_info()[:] == (2, 1, 256, 0)
+    assert raw(-1, 45) == cold[-1] and raw(1, 45) == cold[1]
+    assert len(calls) == 2 * terms
+    assert _series_row.cache_info()[:] == (3, 2, 256, 0)
+    # a plus-only pass over more n than the bound drops the oldest rows
+    _series_row.cache_clear()
+    short = SeriesEvalConfig(k_max=20, precision=64)
+    for n in range(1, 271):
+        rademacher_eval(C17, 1, n, short)
+    info = _series_row.cache_info()
+    assert info.currsize == info.maxsize == 256 < info.misses == 270
+    _series_row.cache_clear()
+
+
 def test_rademacher_result_invariant():
     cfg = SeriesEvalConfig(k_max=40, precision=96)
     r = rademacher_eval(C13, 1, 9, cfg)
@@ -1189,13 +1236,17 @@ def test_numeric_sums_match_exact_sums():
 
 def test_numeric_sums_are_real():
     # chi(-1) = 1 at these primes, so -h mod k is a unit of the same class
-    # as h; its phase is the negated one, so z_(-h) = conj(z_h) and each
-    # sum L(k, n) is real.  _numeric_sum returns only the real half of its
-    # fixed-point dot product, as a raw mpf; the imaginary half, built here
-    # from the same integers, stays inside the error budget 2^-(wp+14) of
-    # zero.  k < 40
-    # prime to p, and K = p, 3p, 5p for every m with sigma_m != 0, in the
-    # classes the series sums over
+    # as h, at the mirrored position of the ascending hs; its phase is the
+    # negated one, so the exact z_(-h) is conj(z_h) and each sum L(k, n) is
+    # real.  The fixed-point values are two floored cis calls, which agree
+    # with the conjugate only within 2 units (exactly on 296 of 8,132
+    # mirrored units at p = 17, k < 120, wp = 160), so _numeric_sum's fold
+    # pairs the integer products of h and -h, never their values.  It
+    # returns only the real half of its fixed-point dot product, as a raw
+    # mpf; the imaginary half, built here from the same integers, stays
+    # inside the error budget 2^-(wp+14) of zero.  Both halves are summed
+    # here one unit at a time, unfolded.  k < 40 prime to p, and K = p, 3p,
+    # 5p for every m with sigma_m != 0, in the classes the series sums over
     wp = 160
     for ctx in (C5, C13, C17):
         p = ctx.p
@@ -1215,6 +1266,7 @@ def test_numeric_sums_are_real():
             at = {h: i for i, h in enumerate(hs)}
             for i, h in enumerate(hs):
                 j = at[-h % k]
+                assert j == len(hs) - 1 - i, (p, k, m, variant, h)
                 assert phases[hs[j]] == -phases[h] % 2, (p, k, m, variant, h)
                 # each fixed-point value is within 2^0.1 units of the truth
                 assert abs(zre[j] - zre[i]) <= 2 and abs(zim[j] + zim[i]) <= 2
@@ -1238,7 +1290,8 @@ def test_numeric_sums_are_real():
 
 def _uncached_sum(p, k, r, m, variant, wp):
     """The exact integer of _numeric_sum at residue r = -n mod k, from a
-    freshly built phase vector and root table, no memo read."""
+    freshly built phase vector and root table, no memo read, summed one
+    unit at a time: the oracle for the h <-> -h fold."""
     bits, hs, zre, zim, _ = _phase_vector.__wrapped__(p, k, variant, m, wp)
     M = k if k % 2 == 0 else 2 * k
     cre, cim = _root_table.__wrapped__(M, bits)
@@ -1250,15 +1303,16 @@ def test_residue_slots_match_uncached_sums():
     # each slot of _phase_vector holds the sum of one residue r = -n mod k:
     # filled in a seeded order from a cold cache, then read back warm, every
     # slot and every returned mpf equals the uncached sum, at p = 17 for k
-    # prime to p (m = 0, every unit), k = 34 and 51 at m = 0 and K = 51 at
-    # each m with sigma_m != 0 (in the class each variant sums over), both
-    # variants
+    # prime to p (m = 0, every unit; k = 1 and 2 have one unit, its own
+    # negative, so an odd-length hs), k = 34 and 51 at m = 0 and K = 51 and
+    # 85 at each m with sigma_m != 0 (in the class each variant sums over),
+    # both variants
     wp = 160
     sig = sigma_coeffs(C17, 1, len(c_sequence(C17)) - 1)
     cases = [(k, 0, variant) for k in (1, 2, 4, 7, 34, 51, 60)
              for variant in ("plain", "dagger")]
-    cases += [(51, m, variant) for m in range(len(sig)) if sig[m]
-              for variant in ("plain", "dagger")]
+    cases += [(K, m, variant) for K in (51, 85) for m in range(len(sig))
+              if sig[m] for variant in ("plain", "dagger")]
     want = {case: [_uncached_sum(17, case[0], r, *case[1:], wp)
                    for r in range(case[0])] for case in cases}
     rng = random.Random(34)
@@ -1281,18 +1335,25 @@ def test_bessel_kernel_matches_public_on_series_arguments(monkeypatch):
     # every Bessel argument criterion 5 forms (p = 17, n <= 200, k <= 222,
     # 128 bits, so wp = 160; the arguments do not depend on the sign or the
     # sums, which are stubbed out) goes to the private kernel, and there it
-    # must give what the guarded public bessel_i1 gives
+    # must give what the guarded public bessel_i1 gives.  The rows built
+    # with the stub hold zeros where the Bessel values go, at criterion 5's
+    # own settings, so the row memo is cleared before and after
     args = set()
 
     def record(x, prec):
         args.add((x, prec))
         return fzero
 
-    monkeypatch.setattr(series, "_bessel_i1_mpf", record)
-    monkeypatch.setattr(series, "_numeric_sum", lambda *a: fzero)
-    for n in range(1, 201):
-        for _ in _series_terms(C17, "plain", n, 222, 160):
-            pass
+    _series_row.cache_clear()
+    try:
+        with monkeypatch.context() as mpatch:
+            mpatch.setattr(series, "_bessel_i1_mpf", record)
+            mpatch.setattr(series, "_numeric_sum", lambda *a: fzero)
+            for n in range(1, 201):
+                for _ in _series_terms(C17, "plain", n, 222, 160):
+                    pass
+    finally:
+        _series_row.cache_clear()
     assert len(args) > 30000
     for x, prec in args:
         want = bessel_i1(mp.make_mpf(x), prec).value._mpf_
@@ -1310,7 +1371,8 @@ def _series_cis_keys(monkeypatch, primes, k_max, wp):
     """Every (num, den, bits) a cold series builds at these primes and
     k_max, both signs, at working precision wp, with the Bessel values of
     its terms left out.  Fresh table caches stand in for the module's, so
-    those are left as they were."""
+    those are left as they were; the row memo, whose rows would hold the
+    stubbed Bessel values, is cleared before and after."""
     keys = set()
     kernel = _fixed_cis.__wrapped__
 
@@ -1324,11 +1386,15 @@ def _series_cis_keys(monkeypatch, primes, k_max, wp):
         for table in (_phase_vector, _root_table):
             mpatch.setattr(series, table.__name__,
                            lru_cache(maxsize=None)(table.__wrapped__))
-        for p in primes:
-            for variant in ("plain", "dagger"):
-                for _ in _series_terms(make_context(p), variant, 1000, k_max,
-                                       wp):
-                    pass
+        _series_row.cache_clear()
+        try:
+            for p in primes:
+                for variant in ("plain", "dagger"):
+                    for _ in _series_terms(make_context(p), variant, 1000,
+                                           k_max, wp):
+                        pass
+        finally:
+            _series_row.cache_clear()
     return keys
 
 
@@ -1412,16 +1478,42 @@ def test_phase_vectors_and_root_tables_match_literal_rebuild():
     assert _fixed_cis.cache_info().misses == len(keys)
 
 
+def test_root_tables_mirror_exactly():
+    # the identities _numeric_sum's h <-> -h fold rests on, for every table
+    # (M, bits) a k_max = 222 series at p = 17 reads at wp = 96 and 160:
+    # omega^(M-j) has exactly the cosine of omega^j and its negated sine,
+    # and the two self-mirrored roots j = 0 and M/2 have a sine of exactly 0
+    def bits(k, wp):
+        # where p | k the sum runs over one class, half the units
+        units = sum(math.gcd(h, k) == 1 for h in range(k)) // (
+            1 if k % 17 else 2)
+        return wp + 16 + units.bit_length()
+
+    for k in (1, 2, 4, 17, 34, 51):
+        assert bits(k, 96) == _phase_vector(17, k, "plain", 0, 96)[0], k
+    ks = [j for _, mods in _term_moduli(17, 222) for j in mods]
+    keys = {(k if k % 2 == 0 else 2 * k, bits(k, wp))
+            for k in ks + list(range(17, 223, 34)) for wp in (96, 160)}
+    assert len(keys) > 300
+    for key in keys:
+        cre, cim = _root_table(*key)
+        M = key[0]
+        assert len(cre) == len(cim) == M
+        assert cim[0] == cim[M // 2] == 0, key
+        for j in range(1, M):
+            assert cre[M - j] == cre[j] and cim[M - j] == -cim[j], key
+
+
 # Every cache cache_stats() reports, in the column order of OCCUPANCY.
 CACHES = ("series._phase_vector", "series._root_table", "series._weight",
           "charsums._lambda_parts", "dedekind._chi_table", "series._fixed_cis",
           "series._theta_product", "context.make_context",
-          "arith._prime_factors")
+          "arith._prime_factors", "series._series_row")
 
 
-def _series_load(k_max):
+def _series_load(k_max, signs=(1, -1)):
     cfg = SeriesEvalConfig(k_max=k_max, precision=128)
-    for sign in (1, -1):
+    for sign in signs:
         rademacher_eval(C17, sign, 1000, cfg)
 
 
@@ -1431,20 +1523,28 @@ def _chi_load():
 
 
 # What each load leaves in the caches, from cleared caches; 0 marks a cache
-# the load does not touch.  The series loads are p = 17, n = 1000, both
-# signs, 128 bits.  The last field pins the hits of the caches it names.
+# the load does not touch.  The series loads are p = 17, n = 1000, 128 bits,
+# both signs unless named.  Each cache holds one entry per miss, unless the
+# last field, which pins the named stats of the caches it names, says
+# otherwise.  The row memo is built by the first sign and handed to the
+# other, which takes it out: a both-sign load leaves it empty, after one
+# miss and one hit.
+HANDED_OFF = {"series._series_row": {"hits": 1, "misses": 1}}
 OCCUPANCY = [
     ("series, k_max = 150", lambda: _series_load(150),
-     (370, 110, 64, 181, 0, 8161, 0, 1, 2), {}),
+     (370, 110, 64, 181, 0, 8161, 0, 1, 2, 0), HANDED_OFF),
     ("series, k_max = 222", lambda: _series_load(222),
-     (548, 163, 64, 267, 0, 17859, 0, 1, 2), {}),
+     (548, 163, 64, 267, 0, 17859, 0, 1, 2, 0), HANDED_OFF),
+    ("series, plus only, k_max = 150", lambda: _series_load(150, (1,)),
+     (185, 110, 32, 181, 0, 7447, 0, 1, 2, 1), {}),
     # each FEQ point reads its twin products twice, plain and dagger; S+-
     # and U+- add one entry each, and no hit
     ("feq suite, full", lambda: verify.suite_feq("full"),
-     (0, 0, 0, 12, 0, 0, 30, 3, 6), {"series._theta_product": 18}),
+     (0, 0, 0, 12, 0, 0, 30, 3, 6, 0),
+     {"series._theta_product": {"hits": 18}}),
     # the chi table's memo serves the sums that read it for every h
     ("s_chi and t_chi at k = 40", _chi_load,
-     (0, 0, 0, 0, 1, 0, 0, 0, 0), {"dedekind._chi_table": 1}),
+     (0, 0, 0, 0, 1, 0, 0, 0, 0, 0), {"dedekind._chi_table": {"hits": 1}}),
 ]
 
 
@@ -1453,7 +1553,7 @@ def test_cache_occupancy_from_cleared_caches():
     # fails here until it is counted, and an entry evicted shows as
     # size < misses
     assert set(CACHES) == set(legpart.cache_stats())
-    for name, load, sizes, hits in OCCUPANCY:
+    for name, load, sizes, pins in OCCUPANCY:
         for key in CACHES:
             mod, func = key.split(".")
             getattr(importlib.import_module(f"legpart.{mod}"),
@@ -1462,10 +1562,9 @@ def test_cache_occupancy_from_cleared_caches():
         stats = legpart.cache_stats()
         for key, size in zip(CACHES, sizes):
             got = stats[key]
-            assert got["size"] == got["misses"] == size, (name, key, got)
+            want = {"size": size, "misses": size, **pins.get(key, {})}
+            assert {stat: got[stat] for stat in want} == want, (name, key, got)
             assert got["size"] < got["maxsize"], (name, key, got)
-        for key, want in hits.items():
-            assert stats[key]["hits"] == want, (name, key, stats[key])
 
 
 def test_series_path_caches_are_bounded():
@@ -1488,20 +1587,20 @@ def test_series_path_caches_are_bounded():
 
 
 def test_cache_stats_covers_every_lru_cache():
-    # every function a legpart module's source decorates with lru_cache is
-    # in cache_stats(), which reports nothing else, with the numbers of the
-    # cache's own cache_info
+    # every function a legpart module's source decorates with lru_cache, or
+    # with the series row memo _SignHandoff, is in cache_stats(), which
+    # reports nothing else, with the numbers of the cache's own cache_info
     declared = set()
     for info in pkgutil.iter_modules(legpart.__path__):
         mod = importlib.import_module(f"legpart.{info.name}")
         for node in ast.walk(ast.parse(inspect.getsource(mod))):
             if isinstance(node, ast.FunctionDef) and any(
-                    "lru_cache" in ast.unparse(dec)
-                    for dec in node.decorator_list):
+                    memo in ast.unparse(dec) for dec in node.decorator_list
+                    for memo in ("lru_cache", "_SignHandoff")):
                 declared.add(f"{info.name}.{node.name}")
     assert {"series._fixed_cis", "series._weight", "charsums._lambda_parts",
             "dedekind._chi_table", "context.make_context",
-            "arith._prime_factors"} <= declared
+            "arith._prime_factors", "series._series_row"} <= declared
     series._weight.cache_clear()
     for _ in range(3):
         series._weight(17, 3, "plain", 64)
