@@ -296,20 +296,35 @@ def scan_vanishing(ctx: PrimeContext, sign: int, modulus: int,
                    n_min: int, n_max: int) -> set:
     """Residues mod modulus whose whole class vanishes on [n_min, n_max].
 
-    The oracle table is built once.  A residue only qualifies if the range
-    actually contains members of its class; an empty class is no evidence.
+    A residue only qualifies if the range actually contains members of its
+    class; an empty class is no evidence.  One nonzero value rules a class
+    out for good, so a probe table to max(n_min + modulus - 1, n_max // 16),
+    where every class has a member, comes first: when it rules out every
+    class the answer is empty and the n_max table is never built.  The
+    probe is skipped above n_max // 4, where it would cost more than an
+    eighth of the full table.
     """
     _check_ctx(ctx)
     _check_int("modulus", modulus, 1)
     _check_int("n_min", n_min, 1)
     _check_int("n_max", n_max, n_min)
-    table = oracle_table(ctx, sign, n_max)
+    probe = max(n_min + modulus - 1, n_max // 16)
+    if (probe <= n_max // 4
+            and not _vanishing(ctx, sign, modulus, n_min, probe)):
+        return set()
+    return _vanishing(ctx, sign, modulus, n_min, n_max)
+
+
+def _vanishing(ctx: PrimeContext, sign: int, modulus: int,
+               n_min: int, n_max: int) -> set:
+    """scan_vanishing's answer read off one oracle table to n_max."""
+    values = oracle_table(ctx, sign, n_max).values
     seen = [False] * modulus
     alive = [True] * modulus
     for n in range(n_min, n_max + 1):
         r = n % modulus
         seen[r] = True
-        if table.values[n] != 0:
+        if values[n] != 0:
             alive[r] = False
     return {r for r in range(modulus) if seen[r] and alive[r]}
 

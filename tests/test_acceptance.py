@@ -89,12 +89,12 @@ def test_criterion_05_rademacher_rounding():
     worst60 = 0.0
     sub_misses = 0
     sub_worst = 0.0
+    tables = {sign: oracle_table(C17, sign, 200).values for sign in (1, -1)}
     for sign in (1, -1):
-        table = oracle_table(C17, sign, 200)
         for n in range(1, 201):
             r = rademacher_eval(C17, sign, n, cfg60)
             d = float(r.distance_to_integer.value)
-            assert r.rounded == table.values[n], (sign, n)
+            assert r.rounded == tables[sign][n], (sign, n)
             assert d < 0.5, (sign, n, d)
             worst60 = max(worst60, d)
             if n >= 20 and d >= 0.1:
@@ -119,6 +119,7 @@ def test_criterion_05_rademacher_rounding():
         r = rademacher_eval(C17, sign, n,
                             SeriesEvalConfig(k_max=222, precision=128))
         d = float(r.distance_to_integer.value)
+        assert r.rounded == tables[sign][n], (sign, n)
         assert d < 0.1, (sign, n, d)
     _report(5, "PASS", f"both signs, n <= 200: every value rounds to the "
             f"oracle at k_max=60 (max distance {worst60:.4f} < 0.5); the "

@@ -160,6 +160,19 @@ def test_scan_examples(capsys):
     assert out.strip().split("\n")[1] == "5,6"
 
 
+def test_scan_primes_to_200(capsys):
+    # 21 primes p = 1 (mod 4) in [5, 200]; only 5 and 17 have a class
+    # mod 2p that vanishes up to 5000
+    for sign, want in (("+", {"5": "2", "17": "17 19 25 27"}),
+                       ("-", {"5": "6", "17": "11 15 29 33"})):
+        rc, out = run_main(["scan", "--p-min", "5", "--p-max", "200",
+                            "--sign", sign, "--n-max", "5000"], capsys)
+        assert rc == 0
+        rows = dict(line.split(",") for line in out.strip().split("\n")[1:])
+        assert len(rows) == 21
+        assert {p: r for p, r in rows.items() if r} == want
+
+
 def test_scan_skips_non_congruent_primes(capsys):
     # 7 and 11 are not 1 mod 4, 9 and 15 are not prime
     rc, out = run_main(["scan", "--p-min", "6", "--p-max", "16",

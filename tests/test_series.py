@@ -25,7 +25,8 @@ from legpart.charsums import (_chi_class, _twisted_phases,
 from legpart.context import make_context
 from legpart.dedekind import dedekind_s_chi, dedekind_t_chi
 from legpart.series import (THETA_FAMILIES, InconclusiveError,
-                            RademacherResult, SeriesEvalConfig, _factors,
+                            RademacherResult, SeriesEvalConfig,
+                            SignedPartitionTable, _factors,
                             _fixed_cis, _jacobi_terms, _mpf_add,
                             _numeric_sum, _phase_vector, _poch_partial,
                             _poch_tail_bound, _root_table, _series_row,
@@ -312,6 +313,73 @@ def test_scan_vanishing_p17():
 
 def test_scan_vanishing_p13_empty():
     assert scan_vanishing(C13, 1, 26, 1, 1500) == set()
+
+
+def _literal_scan(ctx, sign, modulus, n_min, n_max):
+    """The scan as one pass over the whole table to n_max: no probe."""
+    values = series.oracle_table(ctx, sign, n_max).values
+    seen = [False] * modulus
+    alive = [True] * modulus
+    for n in range(n_min, n_max + 1):
+        r = n % modulus
+        seen[r] = True
+        if values[n] != 0:
+            alive[r] = False
+    return {r for r in range(modulus) if seen[r] and alive[r]}
+
+
+def test_scan_vanishing_matches_literal_scan():
+    for p in LITERAL_PRIMES:
+        ctx = make_context(p)
+        for sign in (1, -1):
+            for modulus in (1, 2, 7, p, 2 * p, 4 * p):
+                for n_min, n_max in ((1, 10), (900, 1000), (3, 2000),
+                                     (50, 1000)):
+                    args = (ctx, sign, modulus, n_min, n_max)
+                    assert scan_vanishing(*args) == _literal_scan(*args), args
+
+
+def _count_tables(monkeypatch, build=oracle_table):
+    """The n_max of every oracle table scan_vanishing builds, in order."""
+    calls = []
+
+    def counted(ctx, sign, n_max):
+        calls.append(n_max)
+        return build(ctx, sign, n_max)
+
+    monkeypatch.setattr(series, "oracle_table", counted)
+    return calls
+
+
+def test_scan_vanishing_probe_settles_empty_scans(monkeypatch):
+    # every class mod 26 of p = 13 dies by n = 75, inside the probe to
+    # 5000 // 16 = 312, so the 5000 table is never built; p = 17 keeps
+    # four classes alive there and needs the full table
+    calls = _count_tables(monkeypatch)
+    assert scan_vanishing(C13, 1, 26, 50, 5000) == set()
+    assert calls == [312]
+    calls.clear()
+    assert scan_vanishing(C17, 1, 34, 50, 5000) == {17, 19, 25, 27}
+    assert calls == [312, 5000]
+    # a probe to 909 would cost more than an eighth of the 1000 table
+    calls.clear()
+    assert scan_vanishing(C5, 1, 10, 900, 1000) == {2}
+    assert calls == [1000]
+
+
+def test_scan_vanishing_falls_through_past_the_probe(monkeypatch):
+    # class 0 mod 3 is zero through the probe to 160 // 16 = 10 and dies
+    # at n = 150, so only the full table rules it out
+    values = [0 if n % 3 == 0 and n != 150 else 1 for n in range(161)]
+
+    def stub(ctx, sign, n_max):
+        return SignedPartitionTable(ctx.p, sign, tuple(values[:n_max + 1]))
+
+    calls = _count_tables(monkeypatch, stub)
+    assert scan_vanishing(C5, 1, 3, 1, 160) == set()
+    assert calls == [10, 160]
+    assert _literal_scan(C5, 1, 3, 1, 160) == set()
+    assert _literal_scan(C5, 1, 3, 1, 149) == {0}
 
 
 def test_scan_rejects_bad_range():
