@@ -23,11 +23,10 @@ from .series import *
 
 
 def cache_stats() -> dict:
-    """Size, bound, hits and misses of every memo in legpart (each
-    lru_cache, and series._series_row, which keeps lru_cache's cache_info),
-    keyed "module.function": what the process-global caches hold at this
-    point, so that a run can explain where its time went.  The modules are
-    scanned, so a cache added to any of them is reported."""
+    """Size, bound, hits and misses of every memo in legpart, each an
+    lru_cache, keyed "module.function": what the process-global caches hold
+    at this point, so that a run can explain where its time went.  The
+    modules are scanned, so a cache added to any of them is reported."""
     import importlib
     import pkgutil
 
@@ -35,8 +34,7 @@ def cache_stats() -> dict:
     for info in pkgutil.iter_modules(__path__):
         mod = importlib.import_module(f"{__name__}.{info.name}")
         for name, obj in vars(mod).items():
-            if (hasattr(obj, "cache_info") and not isinstance(obj, type)
-                    and obj.__module__ == mod.__name__):
+            if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__:
                 ci = obj.cache_info()
                 stats[f"{info.name}.{name}"] = {
                     "size": ci.currsize, "maxsize": ci.maxsize,

@@ -210,6 +210,12 @@ def _canonical(order: int, pairs) -> CyclotomicSum:
     return CyclotomicSum(order, tuple(c))
 
 
+def _check_cyclo(name: str, value) -> None:
+    """Raise ValueError naming the argument unless value is a CyclotomicSum."""
+    if not isinstance(value, CyclotomicSum):
+        raise ValueError(f"{name} must be a CyclotomicSum, got {value!r}")
+
+
 def _capped(order: int) -> int:
     if order > DEFAULT_ORDER_CAP:
         raise OrderCapError(f"cyclotomic order {order} exceeds cap "
@@ -247,6 +253,8 @@ def cyclo_from_phases(phases, weights=None) -> CyclotomicSum:
 
 
 def cyclo_add(a: CyclotomicSum, b: CyclotomicSum) -> CyclotomicSum:
+    _check_cyclo("a", a)
+    _check_cyclo("b", b)
     order = _capped(math.lcm(a.order, b.order))
     sa, sb = order // a.order, order // b.order
     pairs = [(j * sa, c) for j, c in enumerate(a.coeffs) if c]
@@ -255,6 +263,7 @@ def cyclo_add(a: CyclotomicSum, b: CyclotomicSum) -> CyclotomicSum:
 
 
 def cyclo_neg(s: CyclotomicSum) -> CyclotomicSum:
+    _check_cyclo("s", s)
     return CyclotomicSum(s.order, tuple(-c for c in s.coeffs))
 
 
@@ -282,14 +291,15 @@ def cyclo_is_zero(s: CyclotomicSum) -> bool:
     Rewrites the sum in a basis of the order-M cyclotomic field: for every
     odd prime power P = p^e dividing M exactly, exponents whose top p-digit
     (j mod P) // (P/p) equals p-1 are eliminated through the relation
-    sum_{t=0..p-1} zeta^(j + t M/p) = 0, and finally the even fold
-    zeta^(j+M/2) = -zeta^j clears the upper half.  The survivors are phi(M)
-    many and linearly independent, so the sum vanishes iff every remaining
-    coefficient is zero.  This is the same decision as reducing the
+    sum_{t=0..p-1} zeta^(j + t M/p) = 0, and finally _canonical's even
+    fold zeta^(j+M/2) = -zeta^j clears the upper half.  The survivors are
+    phi(M) many and linearly independent, so the sum vanishes iff every
+    remaining coefficient is zero.  This is the same decision as reducing the
     coefficient polynomial mod the M-th cyclotomic polynomial (see
     reduce_mod_cyclotomic in tests/test_arith.py, the oracle the tests
     cross-check it against), just without the quadratic-cost long division.
     """
+    _check_cyclo("s", s)
     M = s.order
     c = list(s.coeffs)
     for p, e in _prime_factors(M):
@@ -304,17 +314,12 @@ def cyclo_is_zero(s: CyclotomicSum) -> bool:
                 c[j] = 0
                 for t in range(1, p):
                     c[(j + t * step) % M] -= w
-    if M % 2 == 0:
-        half = M // 2
-        for j in range(half, M):
-            if c[j]:
-                c[j - half] -= c[j]
-                c[j] = 0
-    return not any(c)
+    return not any(_canonical(M, enumerate(c)).coeffs)
 
 
 def cyclo_to_complex(s: CyclotomicSum, prec: int | None = None) -> HPComplex:
     """Numeric value of the sum; error at most 2^(4-prec) * weight."""
+    _check_cyclo("s", s)
     prec = _precision(prec)
     guard = 16 + max(1, s.weight()).bit_length()
     M = s.order

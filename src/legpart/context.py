@@ -167,6 +167,8 @@ def quartic_class(ctx: PrimeContext, a: int) -> str:
 
 def norm_mod(a: int, k: int) -> int:
     """Distance from a to the nearest multiple of k (so at most k/2)."""
+    _check_int("a", a)
+    _check_int("k", k, 1)
     r = a % k
     return min(r, k - r)
 

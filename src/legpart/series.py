@@ -19,17 +19,16 @@ rounded to an mpf within 2^-(wp+14) of its exact value (see
 _numeric_sum), whose loop takes h and -h in one step.  The exact
 cyclotomic sums of charsums are not on this path; the tests use them as its
 oracle.  Every factor of a term that the sign does not enter, the Bessel
-values above all, is built once per n in a row (_series_row) that the first
-sign to evaluate n hands to the other.
+values above all, is built once per n in a row, which an lru_cache
+(_series_row) keeps for the other sign at the same n to read.
 """
 
 import math
 import operator
 import random
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from mpmath import mp
 from mpmath.libmp import (bitcount, from_int, from_man_exp, from_rational,
@@ -840,53 +839,14 @@ def _term_moduli(p: int, k_max: int) -> list:
             + [(k, (k,)) for k in range(4, k_max + 1, 4) if k % p])
 
 
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-
-class _SignHandoff:
-    """A memo of per-n rows that both signs read, bounded by count.
-
-    A row is built by the first reader that asks for its key and held until
-    a reader of the other sign reads it, which takes it out; a re-read by
-    the sign that built it keeps it.  Past maxsize rows the oldest is
-    dropped.  cache_info and cache_clear are lru_cache's, so cache_stats
-    reports it with the package's other memos, and __wrapped__ is the
-    uncached builder.
-    """
-
-    def __init__(self, build, maxsize: int):
-        self.__wrapped__ = build
-        self.maxsize = maxsize
-        self.cache_clear()
-
-    def __call__(self, *key, reader):
-        entry = self._rows.get(key)
-        if entry is None:
-            self.misses += 1
-            row = self.__wrapped__(*key)
-            if len(self._rows) >= self.maxsize:
-                del self._rows[next(iter(self._rows))]
-            self._rows[key] = (reader, row)
-            return row
-        self.hits += 1
-        if entry[0] != reader:
-            del self._rows[key]
-        return entry[1]
-
-    def cache_info(self):
-        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self._rows))
-
-    def cache_clear(self) -> None:
-        self._rows, self.hits, self.misses = {}, 0, 0
-
-
-# Both signs evaluate each n, so a row waits here for the other sign.  A
-# sweep that shuffles (sign, n) over n <= 130 holds at most about 71 rows
-# at a time; suite_rademacher and acceptance criterion 5, which run one sign
-# over n <= 200 and then the other, hold 200.  A one-sign pass over more n
-# than the bound keeps the last maxsize rows, each O(k_max) mpfs (about
-# 8.6 KiB at k_max = 60).
-@partial(_SignHandoff, maxsize=256)
+# Both signs evaluate each n, so a row stays here for the other sign.  The
+# series_sweep benchmark, which shuffles (sign, n) over n <= 130, ends up
+# holding 130 rows; suite_rademacher and acceptance criterion 5, which run
+# one sign over n <= 200 and then the other, hold 200.  Each row is O(k_max)
+# mpfs (about 8.6 KiB at k_max = 60).  A one-sign pass over more n than the
+# bound keeps the last 256 rows, and the other sign then reads none of them:
+# each of its misses drops the least recently used row, the next it needs.
+@lru_cache(maxsize=256)
 def _series_row(p: int, n: int, k_max: int, wp: int) -> tuple:
     """The factors of the series terms at n that the sign does not enter,
     as raw mpfs at wp bits: (prefac, bessels, odd).
@@ -932,7 +892,7 @@ def _series_terms(ctx: PrimeContext, variant: str, n: int, k_max: int,
     sums are the variant's.
     """
     p = ctx.p
-    prefac, bessels, odd = _series_row(p, n, k_max, wp, reader=variant)
+    prefac, bessels, odd = _series_row(p, n, k_max, wp)
     for (d, mods), bessel in zip(_term_moduli(p, k_max), bessels):
         piece = fzero
         for j in mods:
@@ -959,9 +919,9 @@ def rademacher_eval(ctx: PrimeContext, sign: int, n: int,
     each is one real sum from the per-modulus fixed-point tables, within
     2^-(wp+14) of its exact value before one rounding to wp bits, kept per
     residue -n mod k.  lambda_k is memoised per (p, k mod 2p, variant,
-    wp), and the sign-free factors of the terms per n (_series_row), so
-    the two signs at one n share them.  n~ = n + (p-1)/24 stays rational
-    until the final square root.
+    wp), and the sign-free factors of the terms per (n, k_max, wp) in the
+    256-row lru_cache _series_row, so the two signs at one n share them.
+    n~ = n + (p-1)/24 stays rational until the final square root.
     The terms (_series_terms) are summed as raw mpf tuples by mpf_add at wp
     bits, bit for bit what mpf objects gave; each Bessel argument is
     already a wp-bit mpf, which arith._bessel_i1_mpf reads as bessel_i1

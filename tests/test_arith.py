@@ -227,6 +227,20 @@ def test_cyclo_neg_and_add():
     assert cyclo_is_zero(cyclo_add(acc, cyclo_from_phases([1])))
 
 
+def test_cyclo_entry_points_reject_non_sums():
+    # each sum argument is a CyclotomicSum: a string, an int or None raises
+    # ValueError naming the argument, not AttributeError from inside
+    one = cyclo_from_phases([0])
+    for call, name in ((lambda: cyclo_to_complex("x"), "s"),
+                       (lambda: cyclo_add(1, 2), "a"),
+                       (lambda: cyclo_add(one, 2), "b"),
+                       (lambda: cyclo_neg(None), "s"),
+                       (lambda: cyclo_is_zero(None), "s")):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be a CyclotomicSum"):
+            call()
+
+
 def test_order_cap_enforced():
     with pytest.raises(OrderCapError):
         cyclo_from_phases([Fraction(1, DEFAULT_ORDER_CAP)])
@@ -317,6 +331,14 @@ def test_bessel_rejects_bools_and_non_numbers():
         with pytest.raises(ValueError, match="^x must be a real number"):
             bessel_i1(x)
     assert bessel_i1(1.0).value == bessel_i1(1).value
+
+
+def test_float_and_complex_read_the_value():
+    # HPReal.__float__ and HPComplex.__complex__ convert the held mpf/mpc
+    x = bessel_i1(1, 64)
+    assert float(x) == float(x.value)
+    z = q_pochhammer(0.5, 0.5, 3)
+    assert complex(z) == complex(z.value)
 
 
 def test_precision_must_be_an_int_of_at_least_8_bits():

@@ -151,6 +151,11 @@ def test_frac_and_norm_mod():
     assert norm_mod(7, 10) == 3
     assert norm_mod(5, 10) == 5
     assert norm_mod(0, 9) == 0
+    assert norm_mod(-3, 10) == 3
+    # a and k are ints, k >= 1: no ZeroDivisionError, no float distance
+    for a, k, name in ((3, 0, "k"), (3.5, 2, "a"), (True, 5, "a")):
+        with pytest.raises(ValueError, match=f"^{name} must be an int"):
+            norm_mod(a, k)
 
 
 def test_b1_chi_values_and_symmetry():

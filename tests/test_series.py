@@ -1152,11 +1152,11 @@ def test_rademacher_pinned_sweep():
         "6b85d590f2c88f56653ab951b9c28e1f715061a4ec465c2108b8549531c91fac")
 
 
-def test_series_row_hands_off_between_signs(monkeypatch):
+def test_series_row_shared_between_signs(monkeypatch):
     # the sign-free factors of the terms at n are built once, by the first
-    # sign that asks, and handed to the other sign, which makes no Bessel
-    # call and takes the row out of the memo; either order gives the raw of
-    # a cold single call, bit for bit
+    # sign that asks, and read from the memo by the other sign, which makes
+    # no Bessel call; either order gives the raw of a cold single call, bit
+    # for bit
     calls = []
     kernel = series._bessel_i1_mpf
 
@@ -1168,6 +1168,7 @@ def test_series_row_hands_off_between_signs(monkeypatch):
     cfg = SeriesEvalConfig(k_max=60, precision=128)
     # one Bessel value per term: sigma_m != 0 at m = 0 and 2 for p = 17
     terms = len(_term_moduli(17, 60)) + 2 * len(range(17, 61, 34))
+    assert terms == 47
 
     def raw(sign, n):
         return rademacher_eval(C17, sign, n, cfg).raw.value._mpf_
@@ -1176,26 +1177,24 @@ def test_series_row_hands_off_between_signs(monkeypatch):
     for sign in (1, -1):
         _series_row.cache_clear()
         cold[sign] = raw(sign, 45)
-        assert _series_row.cache_info().currsize == 1
-    _series_row.cache_clear()
-    calls.clear()
-    assert raw(1, 45) == cold[1]
-    assert len(calls) == terms
-    assert raw(1, 45) == cold[1]     # a same-sign re-read keeps the row
-    assert _series_row.cache_info()[:] == (1, 1, 256, 1)
-    assert raw(-1, 45) == cold[-1]
-    assert len(calls) == terms
-    assert _series_row.cache_info()[:] == (2, 1, 256, 0)
-    assert raw(-1, 45) == cold[-1] and raw(1, 45) == cold[1]
-    assert len(calls) == 2 * terms
-    assert _series_row.cache_info()[:] == (3, 2, 256, 0)
-    # a plus-only pass over more n than the bound drops the oldest rows
+    for first, second in ((1, -1), (-1, 1)):
+        _series_row.cache_clear()
+        calls.clear()
+        assert raw(first, 45) == cold[first]
+        assert len(calls) == terms
+        assert raw(second, 45) == cold[second]
+        assert len(calls) == terms
+        assert _series_row.cache_info()[:] == (1, 1, 256, 1)
+    # a plus-only pass over more n than the bound keeps the last 256 rows,
+    # n = 15..270, and the minus sign still reads the oldest of them
     _series_row.cache_clear()
     short = SeriesEvalConfig(k_max=20, precision=64)
     for n in range(1, 271):
         rademacher_eval(C17, 1, n, short)
     info = _series_row.cache_info()
     assert info.currsize == info.maxsize == 256 < info.misses == 270
+    rademacher_eval(C17, -1, 15, short)
+    assert _series_row.cache_info()[:2] == (1, 270)
     _series_row.cache_clear()
 
 
@@ -1594,15 +1593,15 @@ def _chi_load():
 # the load does not touch.  The series loads are p = 17, n = 1000, 128 bits,
 # both signs unless named.  Each cache holds one entry per miss, unless the
 # last field, which pins the named stats of the caches it names, says
-# otherwise.  The row memo is built by the first sign and handed to the
-# other, which takes it out: a both-sign load leaves it empty, after one
-# miss and one hit.
-HANDED_OFF = {"series._series_row": {"hits": 1, "misses": 1}}
+# otherwise.  The row memo is built by the first sign and read by the
+# other: a both-sign load leaves one row, after one miss and one hit.
 OCCUPANCY = [
     ("series, k_max = 150", lambda: _series_load(150),
-     (370, 110, 64, 181, 0, 8161, 0, 1, 2, 0), HANDED_OFF),
+     (370, 110, 64, 181, 0, 8161, 0, 1, 2, 1),
+     {"series._series_row": {"hits": 1}}),
     ("series, k_max = 222", lambda: _series_load(222),
-     (548, 163, 64, 267, 0, 17859, 0, 1, 2, 0), HANDED_OFF),
+     (548, 163, 64, 267, 0, 17859, 0, 1, 2, 1),
+     {"series._series_row": {"hits": 1}}),
     ("series, plus only, k_max = 150", lambda: _series_load(150, (1,)),
      (185, 110, 32, 181, 0, 7447, 0, 1, 2, 1), {}),
     # each FEQ point reads its twin products twice, plain and dagger; S+-
@@ -1655,17 +1654,23 @@ def test_series_path_caches_are_bounded():
 
 
 def test_cache_stats_covers_every_lru_cache():
-    # every function a legpart module's source decorates with lru_cache, or
-    # with the series row memo _SignHandoff, is in cache_stats(), which
-    # reports nothing else, with the numbers of the cache's own cache_info
-    declared = set()
+    # every function a legpart module's source decorates with lru_cache is
+    # in cache_stats(), which reports nothing else, with the numbers of the
+    # cache's own cache_info; and no module defines a memo class of its own
+    # (one with a cache_info method), so lru_cache is the one memo policy
+    declared, memo_classes = set(), set()
     for info in pkgutil.iter_modules(legpart.__path__):
         mod = importlib.import_module(f"legpart.{info.name}")
         for node in ast.walk(ast.parse(inspect.getsource(mod))):
             if isinstance(node, ast.FunctionDef) and any(
-                    memo in ast.unparse(dec) for dec in node.decorator_list
-                    for memo in ("lru_cache", "_SignHandoff")):
+                    "lru_cache" in ast.unparse(dec)
+                    for dec in node.decorator_list):
                 declared.add(f"{info.name}.{node.name}")
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(item, ast.FunctionDef)
+                    and item.name == "cache_info" for item in node.body):
+                memo_classes.add(f"{info.name}.{node.name}")
+    assert memo_classes == set()
     assert {"series._fixed_cis", "series._weight", "charsums._lambda_parts",
             "dedekind._chi_table", "context.make_context",
             "arith._prime_factors", "series._series_row"} <= declared
